@@ -35,10 +35,9 @@ void BlockCache::Insert(uint64_t store_id, SegmentId segment,
   std::lock_guard<std::mutex> lock(s.mu);
   auto it = s.index.find(key);
   if (it != s.index.end()) {
-    // Already resident (two readers raced the same miss); refresh the data
-    // in place — the page is immutable, so the bytes are identical anyway.
-    Slot& slot = *s.slots[it->second];
-    slot.referenced.store(true, std::memory_order_relaxed);
+    // Already resident (two readers raced the same miss). Pages are
+    // immutable, so the resident copy is already right: only mark it used.
+    s.slots[it->second]->referenced.store(true, std::memory_order_relaxed);
     return;
   }
   EvictToFit(s, bytes, stats);
@@ -46,16 +45,28 @@ void BlockCache::Insert(uint64_t store_id, SegmentId segment,
   if (!s.free_slots.empty()) {
     idx = s.free_slots.back();
     s.free_slots.pop_back();
+    s.spare_bytes -= SlotBytes(s.slots[idx]->entries.capacity());
+  } else if (!s.bare_slots.empty()) {
+    idx = s.bare_slots.back();
+    s.bare_slots.pop_back();
   } else {
     idx = s.slots.size();
     s.slots.push_back(std::make_unique<Slot>());
   }
   Slot& slot = *s.slots[idx];
   slot.key = key;
-  slot.entries.assign(entries, entries + count);
+  slot.entries.assign(entries, entries + count);  // reuses the capacity
   slot.referenced.store(false, std::memory_order_relaxed);
   slot.valid = true;
-  s.index[key] = idx;
+  s.index.emplace(key, idx);
+  // Push onto the front of the segment's list.
+  auto [head, fresh] = s.segments.try_emplace(key.segment_key(), idx);
+  slot.prev = kNil;
+  slot.next = fresh ? kNil : head->second;
+  if (!fresh) {
+    s.slots[head->second]->prev = idx;
+    head->second = idx;
+  }
   s.usage_bytes += bytes;
 }
 
@@ -68,39 +79,62 @@ void BlockCache::EvictToFit(Shard& s, uint64_t need, Statistics* stats) {
   size_t scanned = 0;
   const size_t limit = 2 * s.slots.size();
   while (s.usage_bytes + need > bound && scanned < limit) {
-    Slot& victim = *s.slots[s.hand % s.slots.size()];
+    const size_t idx = s.hand;
     s.hand = (s.hand + 1) % s.slots.size();
     ++scanned;
+    Slot& victim = *s.slots[idx];
     if (!victim.valid) continue;
     if (victim.referenced.exchange(false, std::memory_order_relaxed)) {
       continue;  // second chance
     }
-    s.usage_bytes -= SlotBytes(victim.entries.size());
-    s.index.erase(victim.key);
-    victim.entries.clear();
-    victim.entries.shrink_to_fit();
-    victim.valid = false;
-    s.free_slots.push_back((s.hand + s.slots.size() - 1) % s.slots.size());
+    Unlink(s, idx);
+    Free(s, idx);
     if (stats != nullptr) ++stats->cache_evictions;
   }
 }
 
+void BlockCache::Unlink(Shard& s, size_t idx) {
+  Slot& slot = *s.slots[idx];
+  if (slot.prev != kNil) {
+    s.slots[slot.prev]->next = slot.next;
+  } else if (slot.next != kNil) {
+    s.segments[slot.key.segment_key()] = slot.next;
+  } else {
+    s.segments.erase(slot.key.segment_key());
+  }
+  if (slot.next != kNil) s.slots[slot.next]->prev = slot.prev;
+}
+
+void BlockCache::Free(Shard& s, size_t idx) {
+  Slot& slot = *s.slots[idx];
+  s.usage_bytes -= SlotBytes(slot.entries.size());
+  s.index.erase(slot.key);
+  slot.entries.clear();
+  slot.valid = false;
+  const uint64_t spare = SlotBytes(slot.entries.capacity());
+  if (s.usage_bytes + s.spare_bytes + spare <= PerShardCapacity()) {
+    s.spare_bytes += spare;
+    s.free_slots.push_back(idx);
+  } else {
+    std::vector<Entry>().swap(slot.entries);
+    s.bare_slots.push_back(idx);
+  }
+}
+
 void BlockCache::EraseSegment(uint64_t store_id, SegmentId segment) {
+  // A segment's pages hash across every shard, but each shard reaches its
+  // share through one map lookup and the segment's own list.
+  const SegmentKey seg{store_id, segment};
   for (Shard& s : shards_) {
     std::lock_guard<std::mutex> lock(s.mu);
-    for (auto it = s.index.begin(); it != s.index.end();) {
-      if (it->first.store_id == store_id && it->first.segment == segment) {
-        Slot& slot = *s.slots[it->second];
-        s.usage_bytes -= SlotBytes(slot.entries.size());
-        slot.entries.clear();
-        slot.entries.shrink_to_fit();
-        slot.valid = false;
-        s.free_slots.push_back(it->second);
-        it = s.index.erase(it);
-      } else {
-        ++it;
-      }
+    auto head = s.segments.find(seg);
+    if (head == s.segments.end()) continue;
+    for (size_t idx = head->second; idx != kNil;) {
+      const size_t next = s.slots[idx]->next;
+      Free(s, idx);
+      idx = next;
     }
+    s.segments.erase(head);
   }
 }
 

@@ -15,16 +15,32 @@
 // those paths are tested against stays deterministic.
 //
 // Eviction is clock (second chance) per cache shard: hits set a reference
-// bit without taking the shard lock; inserts advance the clock hand under
-// it. Sharding by key hash keeps the per-shard critical sections short and
+// bit; inserts advance the clock hand. Both run under the shard lock.
+// Sharding by key hash keeps the per-shard critical sections short and
 // uncontended, which is what the lock-free read path needs from its only
 // remaining shared structure.
+//
+// Costs. Lookup, Insert and each eviction are O(1): no step searches. Every
+// shard threads an intrusive doubly linked list through the slots of each
+// resident segment, headed from a per-shard (store, segment) map, so
+// EraseSegment visits one map entry per shard plus that segment's resident
+// pages — never the whole index, however large the cache is.
+//
+// Buffer reuse. An evicted or erased slot keeps its page buffer as a spare
+// for the next Insert, so steady-state admission does no heap work that
+// scales with the page payload. Spares count against the capacity like
+// resident pages: a slot freed while resident plus spare bytes would
+// exceed the per-shard share releases its buffer instead, so after the
+// arbiter shrinks the cache the excess goes back to the allocator as
+// pages are admitted. usage() counts resident pages only and drops as
+// soon as a page is evicted or erased.
 
 #ifndef ENDURE_LSM_BLOCK_CACHE_H_
 #define ENDURE_LSM_BLOCK_CACHE_H_
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -80,6 +96,20 @@ class BlockCache {
   uint64_t usage() const;
 
  private:
+  struct SegmentKey {
+    uint64_t store_id = 0;
+    SegmentId segment = 0;
+    bool operator==(const SegmentKey& o) const {
+      return store_id == o.store_id && segment == o.segment;
+    }
+  };
+  struct SegmentHash {
+    size_t operator()(const SegmentKey& k) const {
+      uint64_t h = k.store_id * 0x9e3779b97f4a7c15ULL;
+      h ^= k.segment + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+      return static_cast<size_t>(h);
+    }
+  };
   struct CacheKey {
     uint64_t store_id = 0;
     SegmentId segment = 0;
@@ -87,32 +117,43 @@ class BlockCache {
     bool operator==(const CacheKey& o) const {
       return store_id == o.store_id && segment == o.segment && page == o.page;
     }
+    SegmentKey segment_key() const { return SegmentKey{store_id, segment}; }
   };
   struct KeyHash {
     size_t operator()(const CacheKey& k) const {
       // Fibonacci mixing over the three fields.
-      uint64_t h = k.store_id * 0x9e3779b97f4a7c15ULL;
-      h ^= k.segment + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+      uint64_t h = SegmentHash{}(k.segment_key());
       h ^= k.page + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
       return static_cast<size_t>(h);
     }
   };
 
+  /// Slot index meaning "no slot" in the per-segment lists.
+  static constexpr size_t kNil = SIZE_MAX;
+
   struct Slot {
     CacheKey key;
+    /// Page payload. A free slot may keep its capacity as a spare.
     std::vector<Entry> entries;
-    /// Second-chance bit: set lock-free on hit, cleared by the hand.
+    /// Second-chance bit: set on hit, cleared by the hand.
     std::atomic<bool> referenced{false};
     bool valid = false;
+    /// Neighbours in the list of key's segment (set on Insert).
+    size_t prev = kNil;
+    size_t next = kNil;
   };
 
   struct Shard {
     mutable std::mutex mu;
     std::unordered_map<CacheKey, size_t, KeyHash> index;  ///< key -> slot
+    /// (store, segment) -> head slot of that segment's resident pages.
+    std::unordered_map<SegmentKey, size_t, SegmentHash> segments;
     std::vector<std::unique_ptr<Slot>> slots;             ///< clock ring
-    std::vector<size_t> free_slots;
+    std::vector<size_t> free_slots;  ///< free, buffer kept as a spare
+    std::vector<size_t> bare_slots;  ///< free, buffer released
     size_t hand = 0;
     uint64_t usage_bytes = 0;
+    uint64_t spare_bytes = 0;  ///< buffer capacity held by free_slots
   };
 
   Shard& ShardFor(const CacheKey& k) {
@@ -121,6 +162,14 @@ class BlockCache {
   /// Evicts clock-style until `need` more bytes fit under the per-shard
   /// share of capacity. Shard lock held.
   void EvictToFit(Shard& s, uint64_t need, Statistics* stats);
+  /// Unlinks slot `idx` from its segment's list in O(1), dropping the
+  /// segment's map entry with its last page. Shard lock held.
+  static void Unlink(Shard& s, size_t idx);
+  /// Drops slot `idx` from the key index and the usage count and returns
+  /// it to a free list, keeping its buffer as a spare if that fits under
+  /// the per-shard share. The caller unlinks it first (or frees the whole
+  /// list). Shard lock held.
+  void Free(Shard& s, size_t idx);
   uint64_t PerShardCapacity() const {
     return capacity() / shards_.size();
   }

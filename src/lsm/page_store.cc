@@ -462,17 +462,18 @@ StatusOr<PageView> FilePageStore::ReadPageView(SegmentId segment,
     AlignedBuf* buf;
     ~Returner() { store->ReturnScratch(std::move(*buf)); }
   } returner{this, &raw};
-  const std::string path = PathFor(segment);
+  // The segment's path only appears in error messages: building it up
+  // front would cost a string allocation on every uncached read.
   const FaultOutcome fault = CheckFault(FaultSite::kSegmentRead);
   if (fault.err != 0) {
-    return Status::IOError("segment read from " + path + " failed: " +
-                           ErrnoName(fault.err) + " [injected]");
+    return Status::IOError("segment read from " + PathFor(segment) +
+                           " failed: " + ErrnoName(fault.err) + " [injected]");
   }
   const ssize_t got = ::pread(meta.fd, raw.get(), disk_bytes,
                               static_cast<off_t>(page_idx * disk_bytes));
   if (got < 0) {
-    return Status::IOError("segment read from " + path + " failed: " +
-                           ErrnoName(errno));
+    return Status::IOError("segment read from " + PathFor(segment) +
+                           " failed: " + ErrnoName(errno));
   }
   const bool verify =
       verify_checksums_ ||
@@ -480,7 +481,8 @@ StatusOr<PageView> FilePageStore::ReadPageView(SegmentId segment,
   if (got != static_cast<ssize_t>(disk_bytes)) {
     ++stats_->checksum_failures;
     return Status::Corruption("truncated page " + std::to_string(page_idx) +
-                              " in " + path + " (" + std::to_string(got) +
+                              " in " + PathFor(segment) + " (" +
+                              std::to_string(got) +
                               " of " + std::to_string(disk_bytes) +
                               " bytes)");
   }
@@ -497,7 +499,7 @@ StatusOr<PageView> FilePageStore::ReadPageView(SegmentId segment,
       ++stats_->checksum_failures;
       return Status::Corruption(
           "checksum mismatch on page " + std::to_string(page_idx) + " of " +
-          path);
+          PathFor(segment));
     }
   }
   scratch->Reserve(entries_per_page_);
