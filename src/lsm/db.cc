@@ -80,11 +80,12 @@ Status DB::ApplyTuning(const Options& new_options) {
   if (cache_ != nullptr) {
     cache_->set_capacity(new_options.block_cache_bytes);
   }
-  bool did_work = true;
-  while (did_work) {
-    // A migration-step failure is recoverable: the tree keeps the level
-    // intact, so a later ApplyTuning retry (or reopen) resumes from here.
-    ENDURE_RETURN_IF_ERROR(tree_->AdvanceMigration(&did_work));
+  // A plain DB has no scheduler: an inline tree converges the migration
+  // here, a background tree leaves it (and any sealed buffer) to the
+  // write path's maintenance fallback. A failed step is recoverable: the
+  // tree keeps the level intact, so a retry (or reopen) resumes here.
+  if (!new_options.background_maintenance) {
+    ENDURE_RETURN_IF_ERROR(tree_->DrainMaintenance());
   }
   options_ = new_options;
   return Status::OK();

@@ -44,8 +44,7 @@ struct LevelInfo {
 /// bumps the epoch, so entries in current-epoch runs carry the new Bloom
 /// budget while older runs keep their filters until a compaction rewrites
 /// them. Structure (run counts and level capacities under the new policy
-/// and size ratio) converges separately, one AdvanceMigration step at a
-/// time.
+/// and size ratio) converges separately, one maintenance unit at a time.
 struct MigrationProgress {
   uint64_t epoch = 0;             ///< current tuning epoch
   uint64_t runs_total = 0;        ///< resident runs
@@ -181,14 +180,17 @@ struct MaintenanceUnit {
 /// but Get() and Scan() are lock-free: they acquire the current
 /// ReadSnapshot with a single atomic load and never touch the shard
 /// mutex, so any number of reader threads proceed concurrently with the
-/// writer and with maintenance installs. Background maintenance follows the
-/// prepare/execute/install protocol (MaintenanceUnit): only the snapshot
-/// and the run-list swap happen under the owner's lock, the merge I/O in
-/// between runs unlocked. With `Options::background_maintenance` the tree
-/// never flushes inline — filling the write buffer seals it into an
-/// immutable slot that stays readable (and is consulted by Get/Scan
-/// between the active buffer and the runs) until a flush unit (or
-/// FlushSealedMemtable()) pushes it into level 1; see
+/// writer and with maintenance installs. Every shape change — flush,
+/// compaction, migration step — is one MaintenanceUnit of the
+/// prepare/execute/install protocol. A background owner runs the execute
+/// phase with its lock released, so only the snapshot and the run-list
+/// swap happen under the lock. Inline mode (background_maintenance off)
+/// seals a full write buffer and drains the units synchronously under
+/// the caller's lock, so both modes build the same tree. With
+/// `Options::background_maintenance` the tree never flushes inline —
+/// filling the write buffer seals it into an immutable slot that stays
+/// readable (and is consulted by Get/Scan between the active buffer and
+/// the runs) until a flush unit pushes it into level 1; see
 /// docs/architecture.md ("Concurrency model").
 class LsmTree {
  public:
@@ -229,22 +231,19 @@ class LsmTree {
   /// the tree (see Health()).
   StatusOr<std::vector<Entry>> Scan(Key lo, Key hi);
 
-  /// Flushes the sealed buffer (if any) and then the active memtable, in
-  /// age order. Also triggered automatically when the buffer fills and
-  /// background maintenance is off. On failure the buffers keep their
-  /// entries (nothing is lost) and the call may simply be retried; the
-  /// tree is NOT latched, so maintenance owners decide the retry policy.
+  /// Flushes the sealed buffer (if any), then seals the active memtable
+  /// and drains every pending maintenance unit (flushes, compactions,
+  /// migration steps) under the caller's lock. Also triggered
+  /// automatically when the buffer fills and background maintenance is
+  /// off. On failure the buffers keep their entries (nothing is lost;
+  /// the active one may now sit in the sealed slot) and the call may
+  /// simply be retried; the tree is NOT latched, so maintenance owners
+  /// decide the retry policy.
   Status Flush();
 
   /// True when a sealed (full, immutable, not yet flushed) buffer is
   /// pending maintenance.
   bool HasSealedMemtable() const { return sealed_ != nullptr; }
-
-  /// Flushes the sealed buffer into level 1 (no-op when none is pending).
-  /// Inline fallback when no scheduler is attached; runs fully under the
-  /// caller's lock. Error contract as Flush(): entries stay in the
-  /// restored buffer, retryable.
-  Status FlushSealedMemtable();
 
   // --- background maintenance protocol (prepare / execute / install) ---
   // The owner (ShardedDB's compaction scheduler) drives one unit at a
@@ -258,8 +257,8 @@ class LsmTree {
   // discards the output (returning OK) when the tree moved on: a
   // Reconfigure bumped the epoch, a foreground Flush consumed the sealed
   // buffer, or the input runs are no longer resident. One unit makes one
-  // bounded step; HasMaintenanceWork() stays true until the cascade it
-  // begins has fully settled, so the owner just keeps scheduling.
+  // bounded step; HasMaintenanceWork() stays true until the tree has
+  // fully settled, so the owner just keeps scheduling.
 
   /// Snapshots the most urgent pending unit: the sealed buffer (flush),
   /// else the shallowest non-conforming level (compaction). Returns a
@@ -333,11 +332,11 @@ class LsmTree {
   /// - A buffer_entries change retargets the active memtable's seal
   ///   threshold immediately; an over-full buffer is sealed (background
   ///   mode) or flushed inline, exactly like a filling write.
-  /// - size_ratio / policy changes are realized incrementally: the next
-  ///   flush into any level applies the new merge rules there, and
-  ///   AdvanceMigration() reshapes one non-conforming level per call so a
-  ///   maintenance loop can migrate the tree without a stop-the-world
-  ///   rebuild.
+  /// - size_ratio / policy changes are realized incrementally: the tree
+  ///   reports the non-conforming levels as maintenance work, and each
+  ///   unit reshapes one level under the new rules, so a maintenance loop
+  ///   migrates the tree without a stop-the-world rebuild (DB::ApplyTuning
+  ///   and inline ShardedDB drain the units before returning).
   /// Page geometry and storage placement (entries_per_page, backend,
   /// storage_dir, background_maintenance) are immutable; changing them
   /// returns InvalidArgument and leaves the tree untouched.
@@ -346,18 +345,10 @@ class LsmTree {
   /// True while the latest Reconfigure may have left some level
   /// violating the current policy/size-ratio shape. A cached flag (O(1),
   /// checked on every write's maintenance hook): set by Reconfigure,
-  /// cleared by the first AdvanceMigration that finds every level
-  /// conforming.
+  /// cleared by the first PrepareMaintenance that finds every level
+  /// conforming. Units prepared while it is set are migration steps
+  /// (priority 1).
   bool MigrationPending() const;
-
-  /// Performs one bounded migration step: finds the shallowest
-  /// non-conforming level and merges/pushes its runs into the current
-  /// geometry via the normal compaction machinery. `*did_work` is set
-  /// true when a step ran, false when the tree already conforms; callers
-  /// (ShardedDB maintenance jobs, DB::ApplyTuning) loop or reschedule
-  /// until it stays false. On failure the level keeps its runs (the step
-  /// simply did not happen) and the call is retryable.
-  Status AdvanceMigration(bool* did_work);
 
   /// Epoch/shape progress of the latest reconfiguration.
   MigrationProgress Progress() const;
@@ -422,7 +413,8 @@ class LsmTree {
   /// Publishes the manifest (atomic replace) and rewrites the WAL down
   /// to exactly the resident memtable contents, then reaps segment files
   /// the new manifest no longer references. Called automatically after
-  /// flushes, migrations, reconfigurations and bulk loads. The appender
+  /// each flush install and bulk load (compaction installs and
+  /// reconfigurations publish only the manifest). The appender
   /// and its background-sync state survive the rewrite (the fd is
   /// swapped in place), so checkpoint frequency can never postpone or
   /// duplicate an interval sync.
@@ -440,11 +432,14 @@ class LsmTree {
   /// Post-insert maintenance: seals (background mode) or flushes a full
   /// buffer — shared by the write path and WAL replay.
   Status MaintainAfterWrite();
-  /// Detaches and flushes the sealed buffer (which must exist), without
-  /// checkpointing — shared by FlushSealedMemtable and Flush so the
-  /// detach-before-flush protocol lives in one place. On failure the
-  /// buffer is reinstalled as sealed_ (no entry is lost).
-  Status FlushSealedInternal();
+  /// Runs Prepare/Execute/InstallMaintenance (unlimited merges) until no
+  /// unit is left — the inline maintenance engine, under the caller's
+  /// lock. Returns the first failing step's status (the tree stays
+  /// consistent and the drain retryable) or Health() once settled.
+  /// DB::ApplyTuning and inline ShardedDB use it to converge a migration.
+  Status DrainMaintenance();
+  friend class DB;
+  friend class ShardedDB;
   /// Appends one entry record to the WAL (no commit — callers group).
   void StageWalRecord(const Entry& e);
   /// Commits staged WAL records (one write; fsync under kPerBatch).
@@ -478,20 +473,14 @@ class LsmTree {
     return buffer_capacity_override_ != 0 ? buffer_capacity_override_
                                           : opts_.buffer_entries;
   }
-  /// Streams `buffer` out as a level-1 run and cascades compactions. On
-  /// failure nothing new is resident (the caller still owns the buffer's
-  /// entries).
-  Status FlushBuffer(const MemTable& buffer);
-  /// Flush + policy cascade entry point. Failure contract: the incoming
-  /// run is NOT resident anywhere (the caller still owns its entries via
-  /// whatever produced it), this level and deeper keep the runs they had
-  /// — so every caller can restore its source and retry.
-  Status AddRunToLevel(std::shared_ptr<Run> run, int level);
   /// Bloom budget for a run landing on `level`, given the current tree
   /// depth (re-derived from the Monkey allocation each time).
   double FilterBitsForLevel(int level, int projected_depth) const;
   /// True when no level deeper than `level` holds a run.
   bool NothingBelow(int level) const;
+  /// True when `level` (1-based) merges eagerly into one run: every level
+  /// under leveling, only the bottom level under lazy leveling.
+  bool ActsAsLeveling(int level) const;
   /// True when `level` (1-based) satisfies the current policy/size-ratio
   /// shape: leveling-like levels hold one run within capacity, tiering
   /// levels fewer than T runs.

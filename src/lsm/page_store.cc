@@ -562,7 +562,7 @@ Status FilePageStore::AdoptSegment(SegmentId id, size_t num_entries) {
                               " is shorter than the manifest records");
   }
   segments_.emplace(id, SegmentMeta{fd, num_entries});
-  set_next_id(id + 1);
+  if (id + 1 > next_id_) next_id_ = id + 1;
   return Status::OK();
 }
 

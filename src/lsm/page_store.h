@@ -334,8 +334,14 @@ class FilePageStore final : public PageStore {
 
   /// First id NewSegmentWriter will hand out; persisted in the manifest
   /// so ids are never reused across restarts.
-  SegmentId next_id() const { return next_id_; }
+  /// Locked: a manifest publish reads it under the owner's lock while an
+  /// off-lock maintenance unit of the same tree allocates a segment.
+  SegmentId next_id() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return next_id_;
+  }
   void set_next_id(SegmentId id) {
+    std::lock_guard<std::mutex> lock(mu_);
     if (id > next_id_) next_id_ = id;
   }
 

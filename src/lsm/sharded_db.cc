@@ -177,13 +177,9 @@ StatusOr<std::unique_ptr<ShardedDB>> ShardedDB::Open(const Options& options) {
       shard->tree->set_deferred_backpressure(true);
       db->MaybeScheduleMaintenance(shard);
     } else {
-      bool did_work = true;
-      while (did_work) {
-        // A failed resume step fails the open as a whole: nothing is
-        // lost (the level kept its runs) and a reopen retries from
-        // exactly here.
-        ENDURE_RETURN_IF_ERROR(shard->tree->AdvanceMigration(&did_work));
-      }
+      // A failed resume step fails the open as a whole: nothing is lost
+      // (the level kept its runs) and a reopen retries from exactly here.
+      ENDURE_RETURN_IF_ERROR(shard->tree->DrainMaintenance());
     }
   }
   return db;
@@ -660,15 +656,12 @@ Status ShardedDB::ApplyTuning(const Options& new_options) {
     } else {
       // Foreground mode: converge this shard's structure inline (the
       // caller opted out of background work entirely).
-      bool did_work = true;
-      while (did_work) {
-        const Status ms = shard->tree->AdvanceMigration(&did_work);
-        if (!ms.ok()) {
-          return Status(ms.code(),
-                        "ApplyTuning migration failed at shard " +
-                            std::to_string(i) + " (state remains "
-                            "consistent; retry resumes): " + ms.message());
-        }
+      const Status ms = shard->tree->DrainMaintenance();
+      if (!ms.ok()) {
+        return Status(ms.code(),
+                      "ApplyTuning migration failed at shard " +
+                          std::to_string(i) + " (state remains "
+                          "consistent; retry resumes): " + ms.message());
       }
     }
   }

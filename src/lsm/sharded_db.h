@@ -54,14 +54,14 @@ class ShardedDB {
   /// workers (0 = auto), so restart latency is the max over shards
   /// rather than the sum: acknowledged writes replayed from the WALs,
   /// the persisted tuning resumed, and any in-flight migration
-  /// rescheduled on the maintenance pool exactly where AdvanceMigration
-  /// left off. If any shard fails to recover, the open fails as a whole
-  /// with the error of the lowest-numbered failing shard (deterministic
-  /// whatever the thread interleaving), and every already-recovered
-  /// shard is torn down before return — no threads, WAL writers, file
-  /// descriptors or the deployment LOCK outlive a failed open. The
-  /// shard count is immutable across reopens. See docs/durability.md
-  /// and docs/operations.md.
+  /// rescheduled on the maintenance pool exactly where the last
+  /// installed unit left off. If any shard fails to recover, the open
+  /// fails as a whole with the error of the lowest-numbered failing
+  /// shard (deterministic whatever the thread interleaving), and every
+  /// already-recovered shard is torn down before return — no threads,
+  /// WAL writers, file descriptors or the deployment LOCK outlive a
+  /// failed open. The shard count is immutable across reopens. See
+  /// docs/durability.md and docs/operations.md.
   static StatusOr<std::unique_ptr<ShardedDB>> Open(const Options& options);
 
   /// Drains in-flight maintenance jobs, then tears down the shards.
@@ -100,7 +100,8 @@ class ShardedDB {
   StatusOr<std::vector<Entry>> Scan(Key lo, Key hi);
 
   /// Synchronously flushes every shard (sealed buffer first, then the
-  /// active one). Does not wait for previously scheduled background jobs;
+  /// active one) and drains the compactions that triggers, under each
+  /// shard's lock. Does not wait for previously scheduled background jobs;
   /// call WaitForMaintenance() first for a full barrier. On error the
   /// remaining shards are still flushed; the first failing shard's
   /// status is returned (no entry is lost — a failed shard keeps its

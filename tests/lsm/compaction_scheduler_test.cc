@@ -2,8 +2,9 @@
 // protocol: rate-limiter semantics, strict priority admission, deadline
 // (timer-thread) retry requeues that keep backoffs off the pool workers,
 // WaitIdle through self-rescheduling chains, RunSubtasks, partitioned
-// merges matching sequential ones byte for byte, and the LsmTree unit
-// protocol including its stale-unit discard races. Run under
+// merges matching sequential ones byte for byte, the LsmTree unit
+// protocol including its stale-unit discard races, and an inline tree
+// building exactly the tree its drained units build. Run under
 // ThreadSanitizer in CI's tsan leg.
 
 #include "lsm/compaction_scheduler.h"
@@ -17,10 +18,13 @@
 #include <filesystem>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "lsm/compaction.h"
+#include "lsm/db.h"
 #include "lsm/lsm_tree.h"
 #include "lsm/page_store.h"
 #include "lsm/run_builder.h"
@@ -265,8 +269,7 @@ TEST_F(PartitionedMergeTest, MatchesSequentialMergeExactly) {
   limits.max_subtasks = 4;
   limits.min_pages_to_partition = 8;  // force partitioning at this size
   auto partitioned =
-      MergeRunsEx(&store_, {ra, rb, rc}, 8.0, /*drop_tombstones=*/true,
-                  limits)
+      MergeRuns(&store_, {ra, rb, rc}, 8.0, /*drop_tombstones=*/true, limits)
           .value();
   ASSERT_NE(partitioned, nullptr);
 
@@ -297,9 +300,8 @@ TEST_F(PartitionedMergeTest, SmallMergesStayUnpartitioned) {
   MergeLimits limits;
   limits.subtask_pool = &pool;
   limits.max_subtasks = 4;  // default 256-page gate stays in force
-  auto merged = MergeRunsEx(&store_, {RunOf(a), RunOf(b)}, 8.0, false,
-                            limits)
-                    .value();
+  auto merged =
+      MergeRuns(&store_, {RunOf(a), RunOf(b)}, 8.0, false, limits).value();
   ASSERT_NE(merged, nullptr);
   EXPECT_EQ(merged->num_entries(), 80u);
   EXPECT_EQ(stats_.compactions_partitioned.load(), 0u);
@@ -440,6 +442,169 @@ TEST_F(MaintenanceProtocolTest, StepwiseCascadeConvergesAndConforms) {
           << round << ":" << k;
     }
   }
+}
+
+// ------------------------------------------ inline vs background engine --
+//
+// An inline tree (background_maintenance off) and a background tree
+// drained through prepare/execute/install after every seal must build the
+// same tree from the same write stream: run placement, entry counts,
+// Monkey filter budgets, flush/compaction page I/O, and the point-read
+// cost those shapes imply.
+
+/// policy, size ratio T, Monkey (true) or uniform filter memory.
+using EngineCase = std::tuple<CompactionPolicy, int, bool>;
+
+std::string EngineCaseName(const ::testing::TestParamInfo<EngineCase>& info) {
+  static const char* const kPolicy[] = {"Leveling", "Tiering",
+                                        "LazyLeveling"};
+  const auto [policy, size_ratio, monkey] = info.param;
+  return std::string(kPolicy[static_cast<int>(policy)]) + "_T" +
+         std::to_string(size_ratio) + (monkey ? "_Monkey" : "_Uniform");
+}
+
+class MaintenanceProtocolEquivalenceTest
+    : public ::testing::TestWithParam<EngineCase> {
+ protected:
+  static constexpr Key kKeySpace = 4000;
+
+  static Options EngineOpts(CompactionPolicy policy, int size_ratio,
+                            bool monkey, bool background) {
+    Options o;
+    o.policy = policy;
+    o.size_ratio = size_ratio;
+    o.buffer_entries = 32;
+    o.entries_per_page = 4;
+    o.filter_bits_per_entry = 5.0;
+    o.filter_allocation =
+        monkey ? FilterAllocation::kMonkey : FilterAllocation::kUniform;
+    o.background_maintenance = background;
+    return o;
+  }
+
+  void OpenBoth(CompactionPolicy policy, int size_ratio, bool monkey) {
+    inline_ = std::move(
+        DB::Open(EngineOpts(policy, size_ratio, monkey, false))).value();
+    units_ = std::move(
+        DB::Open(EngineOpts(policy, size_ratio, monkey, true))).value();
+  }
+
+  /// Drives the background tree's units until none is left.
+  void DrainUnits() {
+    LsmTree* tree = units_->mutable_tree();
+    for (MaintenanceUnit unit = tree->PrepareMaintenance();
+         unit.kind != MaintenanceUnit::Kind::kNone;
+         unit = tree->PrepareMaintenance()) {
+      ASSERT_TRUE(tree->ExecuteMaintenance(&unit, MergeLimits{}).ok());
+      ASSERT_TRUE(tree->InstallMaintenance(&unit).ok());
+    }
+  }
+
+  /// Feeds one seeded put/delete stream (10% deletes) to both engines,
+  /// draining the background one after every seal, and compares the
+  /// shapes every 500 operations (stopping at the first mismatch).
+  void FeedBoth(uint64_t seed, int ops) {
+    Rng rng(seed);
+    for (int i = 0; i < ops; ++i) {
+      const Key key = rng.UniformInt(0, kKeySpace - 1);
+      if (rng.NextDouble() < 0.1) {
+        ASSERT_TRUE(inline_->Delete(key).ok());
+        ASSERT_TRUE(units_->Delete(key).ok());
+      } else {
+        ASSERT_TRUE(inline_->Put(key, key + i).ok());
+        ASSERT_TRUE(units_->Put(key, key + i).ok());
+      }
+      if (units_->tree().HasSealedMemtable()) DrainUnits();
+      if (i % 500 == 499) {
+        ExpectSameShape();
+        if (HasFailure()) return;
+      }
+    }
+  }
+
+  void ExpectSameShape() {
+    const std::vector<LevelInfo> a = inline_->tree().GetLevelInfos();
+    const std::vector<LevelInfo> b = units_->tree().GetLevelInfos();
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+      SCOPED_TRACE("level " + std::to_string(a[i].level));
+      EXPECT_EQ(a[i].num_runs, b[i].num_runs);
+      EXPECT_EQ(a[i].num_entries, b[i].num_entries);
+      EXPECT_EQ(a[i].min_key, b[i].min_key);
+      EXPECT_EQ(a[i].max_key, b[i].max_key);
+      EXPECT_DOUBLE_EQ(a[i].filter_bits_per_entry,
+                       b[i].filter_bits_per_entry);
+    }
+  }
+
+  void ExpectSameIo() {
+    const Statistics& a = inline_->stats();
+    const Statistics& b = units_->stats();
+    EXPECT_EQ(a.flushes.load(), b.flushes.load());
+    EXPECT_EQ(a.compactions.load(), b.compactions.load());
+    EXPECT_EQ(a.flush_pages_written.load(), b.flush_pages_written.load());
+    EXPECT_EQ(a.compaction_pages_read.load(),
+              b.compaction_pages_read.load());
+    EXPECT_EQ(a.compaction_pages_written.load(),
+              b.compaction_pages_written.load());
+  }
+
+  /// Probes hits and misses on both engines: same answers, same pages.
+  void ExpectSamePointReads() {
+    const uint64_t a0 = inline_->stats().point_pages_read.load();
+    const uint64_t b0 = units_->stats().point_pages_read.load();
+    for (Key k = 0; k < kKeySpace + 500; k += 3) {
+      ASSERT_EQ(inline_->Get(k), units_->Get(k)) << "key " << k;
+    }
+    EXPECT_EQ(inline_->stats().point_pages_read.load() - a0,
+              units_->stats().point_pages_read.load() - b0);
+  }
+
+  std::unique_ptr<DB> inline_;
+  std::unique_ptr<DB> units_;
+};
+
+TEST_P(MaintenanceProtocolEquivalenceTest, InlineTreeMatchesDrainedUnits) {
+  const auto [policy, size_ratio, monkey] = GetParam();
+  OpenBoth(policy, size_ratio, monkey);
+  FeedBoth(/*seed=*/7 + size_ratio, /*ops=*/6000);
+  ExpectSameShape();
+  ExpectSameIo();
+  ExpectSamePointReads();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, MaintenanceProtocolEquivalenceTest,
+    ::testing::Combine(::testing::Values(CompactionPolicy::kLeveling,
+                                         CompactionPolicy::kTiering,
+                                         CompactionPolicy::kLazyLeveling),
+                       ::testing::Values(2, 3, 4, 7),
+                       ::testing::Bool()),
+    EngineCaseName);
+
+TEST_F(MaintenanceProtocolEquivalenceTest,
+       TieringToLazyLevelingMigrationConvergesToSameShape) {
+  // Tiering at T=4 leaves up to three runs per level; lazy leveling at
+  // T=2 allows one per tiered level, so every populated level reshapes.
+  OpenBoth(CompactionPolicy::kTiering, /*size_ratio=*/4, /*monkey=*/true);
+  FeedBoth(/*seed=*/11, /*ops=*/6000);
+  ExpectSameShape();
+
+  // Inline: DB::ApplyTuning converges before returning. Background: the
+  // same retune, then the units drain the migration.
+  Options lazy = inline_->options();
+  lazy.policy = CompactionPolicy::kLazyLeveling;
+  lazy.size_ratio = 2;
+  ASSERT_TRUE(inline_->ApplyTuning(lazy).ok());
+  lazy.background_maintenance = true;
+  ASSERT_TRUE(units_->mutable_tree()->Reconfigure(lazy).ok());
+  DrainUnits();
+
+  EXPECT_TRUE(inline_->Progress().structure_conforming());
+  EXPECT_TRUE(units_->Progress().structure_conforming());
+  ExpectSameShape();
+  ExpectSameIo();
+  ExpectSamePointReads();
 }
 
 // ------------------------------------------------- starvation regression --

@@ -456,7 +456,7 @@ TEST(DifferentialTest, SealedBufferStaysVisible) {
     (*db)->Put(k, k + 1);
     oracle.Put(k, k + 1);
   }
-  // Nothing external ever called FlushSealedMemtable: reads must still
+  // Nothing external ever drained the maintenance units: reads must still
   // see the sealed buffer (and the inline fallback keeps at most one).
   for (Key k = 0; k < 3 * o.buffer_entries; ++k) {
     const auto got = (*db)->Get(k);

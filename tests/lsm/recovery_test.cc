@@ -235,7 +235,8 @@ TEST(RecoveryTest, AppliedTuningSurvivesKill) {
 TEST(RecoveryTest, ResumesMidMigrationExactlyWhereItStopped) {
   const std::string dir = FreshDir("mid_migration");
   // Tiering leaves multi-run levels, so migrating to leveling has real
-  // per-level work for AdvanceMigration to be killed in the middle of.
+  // per-level work for the maintenance units to be killed in the middle
+  // of.
   Options base = DurableOpts(dir);
   base.policy = CompactionPolicy::kTiering;
   Options tuned = base;
@@ -251,11 +252,14 @@ TEST(RecoveryTest, ResumesMidMigrationExactlyWhereItStopped) {
     for (Key k = 0; k < 2000; ++k) (*db)->Put(k, k + 1);
     // Reconfigure directly (DB::ApplyTuning would converge synchronously)
     // and take exactly one migration step, then die mid-flight.
-    ASSERT_TRUE((*db)->mutable_tree()->Reconfigure(tuned).ok());
-    bool stepped = false;
-    ASSERT_TRUE((*db)->mutable_tree()->AdvanceMigration(&stepped).ok());
+    LsmTree* tree = (*db)->mutable_tree();
+    ASSERT_TRUE(tree->Reconfigure(tuned).ok());
+    MaintenanceUnit unit = tree->PrepareMaintenance();
+    const bool stepped = unit.kind != MaintenanceUnit::Kind::kNone;
+    ASSERT_TRUE(tree->ExecuteMaintenance(&unit, MergeLimits{}).ok());
+    ASSERT_TRUE(tree->InstallMaintenance(&unit).ok());
     ASSERT_TRUE(stepped);
-    ASSERT_TRUE((*db)->mutable_tree()->MigrationPending());
+    ASSERT_TRUE(tree->MigrationPending());
     epoch_at_kill = (*db)->tree().tuning_epoch();
     progress_at_kill = (*db)->Progress();
     (*db)->CrashForTesting();
@@ -273,10 +277,13 @@ TEST(RecoveryTest, ResumesMidMigrationExactlyWhereItStopped) {
   EXPECT_EQ(progress.entries_current, progress_at_kill.entries_current);
   EXPECT_EQ(progress.nonconforming_levels,
             progress_at_kill.nonconforming_levels);
-  // Resume: AdvanceMigration picks up and converges; contents intact.
-  bool did_work = true;
-  while (did_work) {
-    ASSERT_TRUE((*db)->mutable_tree()->AdvanceMigration(&did_work).ok());
+  // Resume: the maintenance units pick up and converge; contents intact.
+  LsmTree* tree = (*db)->mutable_tree();
+  for (MaintenanceUnit unit = tree->PrepareMaintenance();
+       unit.kind != MaintenanceUnit::Kind::kNone;
+       unit = tree->PrepareMaintenance()) {
+    ASSERT_TRUE(tree->ExecuteMaintenance(&unit, MergeLimits{}).ok());
+    ASSERT_TRUE(tree->InstallMaintenance(&unit).ok());
   }
   EXPECT_TRUE((*db)->Progress().structure_conforming());
   for (Key k = 0; k < 2000; ++k) {
