@@ -9,7 +9,7 @@
 #include <utility>
 
 #include "core/endure.h"
-#include "lsm/db.h"
+#include "lsm/sharded_db.h"
 
 int main() {
   using namespace endure;
@@ -62,12 +62,12 @@ int main() {
   opts.storage_dir = "/tmp/endure_quickstart_db";
   opts.durability = true;
   {
-    auto db = std::move(lsm::DB::Open(opts)).value();
+    auto db = std::move(lsm::ShardedDB::Open(opts)).value();
     for (lsm::Key k = 0; k < 1000; ++k) db->Put(k, k * 2);
   }  // clean close: the WAL is synced whatever the sync mode
-  auto reopened = std::move(lsm::DB::Open(opts)).value();
+  auto reopened = std::move(lsm::ShardedDB::Open(opts)).value();
   std::printf("\nReopened durable DB: %llu entries recovered, Get(7) = %llu\n",
-              static_cast<unsigned long long>(reopened->tree().TotalEntries()),
+              static_cast<unsigned long long>(reopened->TotalEntries()),
               static_cast<unsigned long long>(*reopened->Get(7)));
   return 0;
 }

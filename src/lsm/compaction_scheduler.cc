@@ -94,7 +94,10 @@ void CompactionScheduler::TimerLoop() {
     }
     const auto now = std::chrono::steady_clock::now();
     if (delayed_.front().deadline > now) {
-      timer_cv_.wait_until(lock, delayed_.front().deadline);
+      // By value: wait_until re-reads its deadline after relocking, when
+      // an EnqueueDelayed may have reallocated delayed_.
+      const auto deadline = delayed_.front().deadline;
+      timer_cv_.wait_until(lock, deadline);
       continue;
     }
     while (!delayed_.empty() && delayed_.front().deadline <= now) {

@@ -122,21 +122,14 @@ void LsmTree::EnsureLevel(int level) {
 
 Status LsmTree::MaintainAfterWrite() {
   if (!active_->IsFull()) return Status::OK();
-  if (opts_.background_maintenance) {
-    // Hand the full buffer to maintenance instead of flushing inline. If
-    // maintenance has fallen behind (the previous sealed buffer is still
-    // pending), either the owner stalls writers upstream
-    // (deferred_backpressure_: the active buffer absorbs over capacity
-    // until the scheduler drains the debt) or we flush inline here —
-    // backpressure that keeps at most one sealed buffer alive.
-    if (sealed_ != nullptr) {
-      if (deferred_backpressure_) return Status::OK();
-      ENDURE_RETURN_IF_ERROR(DrainMaintenance());
-    }
-    SealMemtable();
-    return Status::OK();
-  }
-  return Flush();
+  if (!opts_.background_maintenance) return Flush();
+  // Hand the full buffer to the owner's scheduler instead of flushing
+  // inline. While the previous sealed buffer is still pending, the active
+  // buffer absorbs writes over capacity and the owner stalls writers
+  // upstream until maintenance drains the debt (PutBatch may overshoot by
+  // one batch).
+  if (sealed_ == nullptr) SealMemtable();
+  return Status::OK();
 }
 
 void LsmTree::LatchBackgroundError(const Status& error) {
@@ -886,6 +879,12 @@ Status LsmTree::ReplayEntry(const Entry& e) {
   // entries are not new operations, and the WAL is not attached yet.
   active_->Upsert(e);
   BumpVisible(e.seq);
+  // Replay runs before any scheduler exists: a full buffer behind a
+  // pending sealed one drains inline, so at most one sealed buffer is
+  // resident when the owner starts serving.
+  if (active_->IsFull() && sealed_ != nullptr) {
+    ENDURE_RETURN_IF_ERROR(DrainMaintenance());
+  }
   return MaintainAfterWrite();
 }
 

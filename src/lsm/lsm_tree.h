@@ -293,13 +293,6 @@ class LsmTree {
   /// the write-path backpressure signal.
   size_t RunsInLevel(int level) const;
 
-  /// When true, MaintainAfterWrite never flushes inline while a sealed
-  /// buffer is pending: the active buffer keeps absorbing writes over
-  /// capacity and the owner applies backpressure upstream (stalling
-  /// writers until the scheduler drains the debt). PutBatch may overshoot
-  /// the buffer by one batch. Off (inline fallback) by default.
-  void set_deferred_backpressure(bool v) { deferred_backpressure_ = v; }
-
   /// First unrecovered background/write-path failure, or OK. Once
   /// non-OK the tree is in read-only degraded mode: writes and
   /// maintenance are rejected with this status, reads keep serving.
@@ -335,8 +328,8 @@ class LsmTree {
   /// - size_ratio / policy changes are realized incrementally: the tree
   ///   reports the non-conforming levels as maintenance work, and each
   ///   unit reshapes one level under the new rules, so a maintenance loop
-  ///   migrates the tree without a stop-the-world rebuild (DB::ApplyTuning
-  ///   and inline ShardedDB drain the units before returning).
+  ///   migrates the tree without a stop-the-world rebuild (an inline
+  ///   ShardedDB drains the units before ApplyTuning returns).
   /// Page geometry and storage placement (entries_per_page, backend,
   /// storage_dir, background_maintenance) are immutable; changing them
   /// returns InvalidArgument and leaves the tree untouched.
@@ -436,9 +429,8 @@ class LsmTree {
   /// unit is left — the inline maintenance engine, under the caller's
   /// lock. Returns the first failing step's status (the tree stays
   /// consistent and the drain retryable) or Health() once settled.
-  /// DB::ApplyTuning and inline ShardedDB use it to converge a migration.
+  /// Inline ShardedDB uses it to converge a migration or resume at open.
   Status DrainMaintenance();
-  friend class DB;
   friend class ShardedDB;
   /// Appends one entry record to the WAL (no commit — callers group).
   void StageWalRecord(const Entry& e);
@@ -519,8 +511,6 @@ class LsmTree {
   AtomicSnapshotPtr snapshot_;
   /// Highest sequence applied to the memtable (monotone; single writer).
   std::atomic<SeqNum> visible_seq_{0};
-  /// See set_deferred_backpressure().
-  bool deferred_backpressure_ = false;
   /// Arbiter override of the seal threshold (0 = none); see
   /// SetBufferCapacity().
   uint64_t buffer_capacity_override_ = 0;

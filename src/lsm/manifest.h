@@ -4,10 +4,11 @@
 // (per shard, for a ShardedDB) that records everything recovery needs
 // besides the WAL — the run layout per level (segment ids, entry counts,
 // per-run tuning epochs, Bloom budgets), the currently applied tuning,
-// and the migration/sequence cursors. DB::Open on an existing directory
-// reads the manifest, adopts the referenced segment files, rebuilds each
-// run's Bloom filter and fence pointers from its pages, replays the WAL
-// on top, and resumes — mid-migration if that is where the crash landed.
+// and the migration/sequence cursors. ShardedDB::Open on an existing
+// deployment reads each shard's manifest, adopts the referenced segment
+// files, rebuilds each run's Bloom filter and fence pointers from its
+// pages, replays the WAL on top, and resumes — mid-migration if that is
+// where the crash landed.
 // docs/durability.md documents the byte-level format.
 
 #ifndef ENDURE_LSM_MANIFEST_H_
@@ -42,7 +43,7 @@ inline constexpr uint8_t kWalEntryRecord = 1;
 /// the two deployment layouts can never be confused, whatever crash
 /// window the directory's other files were left in.
 enum : uint8_t {
-  kManifestKindTree = 0,         ///< one LsmTree (plain DB, or one shard)
+  kManifestKindTree = 0,         ///< one LsmTree (one shard directory)
   kManifestKindShardedRoot = 1,  ///< a ShardedDB deployment root
 };
 

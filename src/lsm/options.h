@@ -72,14 +72,15 @@ struct Options {
 
   /// Number of hash-partitioned shards a ShardedDB front-end opens
   /// (>= 1). Each shard is an independent LsmTree with its own page
-  /// store, statistics and memtable of `buffer_entries` entries; a plain
-  /// DB ignores the knob.
+  /// store, statistics and memtable of `buffer_entries` entries. One
+  /// shard with background_maintenance off is the single-tree engine the
+  /// paper's experiments measure.
   int num_shards = 1;
 
   /// When true the engine never flushes inline on a full memtable:
   /// Put/Delete seal the full buffer into an immutable slot that stays
-  /// readable until a maintenance job (ShardedDB's background worker, or
-  /// the next seal as inline fallback) flushes it. When false (default)
+  /// readable until ShardedDB's background scheduler flushes it (writers
+  /// stall while a second buffer fills behind it). When false (default)
   /// a full memtable flushes inline, preserving the single-threaded
   /// behaviour the experiments measure.
   bool background_maintenance = false;
@@ -87,8 +88,8 @@ struct Options {
   /// Crash-safe persistence (docs/durability.md): every write is logged
   /// to a per-tree write-ahead log before it is acknowledged, and every
   /// structural change (flush, compaction, migration step, retune)
-  /// publishes a versioned manifest, so DB::Open / ShardedDB::Open on an
-  /// existing storage_dir replays the WAL, rebuilds the levels and
+  /// publishes a versioned manifest, so ShardedDB::Open on an existing
+  /// storage_dir replays the WAL, rebuilds the levels and
   /// resumes the persisted tuning — including a mid-flight migration —
   /// instead of starting empty. Requires the file backend. Off by
   /// default: the experiments measure a volatile engine.
@@ -110,8 +111,8 @@ struct Options {
   /// auto-sizes to min(num_shards, hardware threads); 1 forces the
   /// serial open the recovery benchmark baselines against. A fresh
   /// (non-recovering) durable open builds its shard directories on the
-  /// same workers; a plain DB ignores the knob. Operational, not part
-  /// of the persisted tuning: each restart may choose anew.
+  /// same workers. Operational, not part of the persisted tuning: each
+  /// restart may choose anew.
   int recovery_threads = 0;
 
   /// Under WalSyncMode::kBackground, drive every shard's WAL fsyncs
@@ -138,8 +139,9 @@ struct Options {
 
   /// Background maintenance (flush/compaction/migration) retries a failed
   /// job this many times with exponential backoff before declaring the
-  /// fault permanent and latching the tree read-only (see DB::Health and
-  /// docs/operations.md). 0 latches on the first failure.
+  /// fault permanent and latching the tree read-only (see
+  /// ShardedDB::Health and docs/operations.md). 0 latches on the first
+  /// failure.
   int background_max_retries = 4;
 
   /// First retry backoff in milliseconds (doubles per attempt, capped at

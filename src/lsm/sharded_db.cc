@@ -51,7 +51,10 @@ ShardedDB::ShardedDB(const Options& options, bool defer_shards)
       // carry a per-instance tag, so no subdirectories are needed.
       shard->store = MakePageStore(options_.entries_per_page, &shard->stats,
                                    static_cast<int>(options_.backend),
-                                   options_.storage_dir);
+                                   options_.storage_dir,
+                                   /*persistent=*/false,
+                                   options_.verify_checksums,
+                                   options_.scrub_on_recovery);
       if (cache_ != nullptr) shard->store->set_block_cache(cache_.get());
       shard->tree = std::make_unique<LsmTree>(options_, shard->store.get(),
                                               &shard->stats);
@@ -75,13 +78,6 @@ ShardedDB::ShardedDB(const Options& options, bool defer_shards)
     cfg.rate_bytes_per_sec = options_.compaction_rate_bytes_per_sec;
     scheduler_ = std::make_unique<CompactionScheduler>(pool_.get(), cfg,
                                                        &sched_stats_);
-    // With a scheduler attached, a writer that fills the active buffer
-    // while a sealed one is still pending defers to backpressure
-    // (MaybeStallWrites) instead of flushing inline under its own lock
-    // hold.
-    for (auto& shard : shards_) {
-      shard->tree->set_deferred_backpressure(true);
-    }
   }
 }
 
@@ -112,13 +108,14 @@ StatusOr<std::unique_ptr<ShardedDB>> ShardedDB::Open(const Options& options) {
   auto root_existing_or = LoadDurableState(opts.storage_dir, &opts, &root);
   if (!root_existing_or.ok()) return root_existing_or.status();
   if (*root_existing_or) {
-    // Without the kind check a plain-DB directory opened with
-    // num_shards=1 would recover a fresh empty shard_0 and ignore the
-    // DB's data sitting at the root.
+    // Without the kind check a directory holding a single tree's files
+    // at its root (a shard directory, or a single-tree deployment
+    // written by an earlier version) would recover a fresh empty shard_0
+    // and ignore the data sitting at the root.
     if (root.kind != kManifestKindShardedRoot) {
       return Status::InvalidArgument(
-          "storage_dir holds a plain DB deployment; open it with "
-          "DB::Open");
+          "storage_dir holds a single tree's manifest, not a deployment "
+          "root; open the directory that contains shard_0");
     }
     if (root.num_shards != opts.num_shards) {
       return Status::InvalidArgument(
@@ -174,7 +171,6 @@ StatusOr<std::unique_ptr<ShardedDB>> ShardedDB::Open(const Options& options) {
     Shard* shard = shard_ptr.get();
     std::lock_guard<std::mutex> lock(shard->mu);
     if (db->scheduler_ != nullptr) {
-      shard->tree->set_deferred_backpressure(true);
       db->MaybeScheduleMaintenance(shard);
     } else {
       // A failed resume step fails the open as a whole: nothing is lost
@@ -369,8 +365,8 @@ void ShardedDB::MaybeStallWrites(Shard* shard,
                                  std::unique_lock<std::mutex>* lock) {
   if (scheduler_ == nullptr) return;
   // Saturation: the write about to apply has nowhere to go (sealed
-  // buffer pending AND active buffer full — deferred backpressure mode
-  // never flushes inline) or level 1 has accumulated enough flushed runs
+  // buffer pending AND active buffer full — a background tree never
+  // flushes inline) or level 1 has accumulated enough flushed runs
   // that reads are degrading faster than compaction is draining them.
   const auto saturated = [&] {
     const Options& topts = shard->tree->options();
@@ -708,7 +704,7 @@ MigrationProgress ShardedDB::Progress() const {
 Statistics ShardedDB::TotalStats() const {
   Statistics total;
   for (const auto& shard : shards_) total.Accumulate(shard->stats);
-  total.Accumulate(sched_stats_);  // scheduler counters are DB-wide
+  total.Accumulate(sched_stats_);  // scheduler counters are deployment-wide
   return total;
 }
 

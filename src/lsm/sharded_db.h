@@ -1,8 +1,10 @@
 // Copyright (c) endure-cpp authors. Licensed under the MIT license.
 //
-// Concurrent front-end of the storage engine: hash-partitions the key
-// space across Options::num_shards independent LsmTree shards, each
-// guarded by its own mutex. With Options::background_maintenance,
+// The storage engine's one front-end: hash-partitions the key space
+// across Options::num_shards independent LsmTree shards, each guarded by
+// its own mutex. One shard without background maintenance is the
+// single-tree engine the paper's experiments measure (every flush and
+// compaction inline on the writer's path). With Options::background_maintenance,
 // flushes and compactions run through a CompactionScheduler (priority
 // admission, rate limiting, deadline-based retry) on a util::ThreadPool,
 // using the tree's prepare/execute/install protocol so merge I/O happens
@@ -209,6 +211,13 @@ class ShardedDB {
   /// regression test asserts exactly that.
   std::unique_lock<std::mutex> LockShardForTesting(size_t shard) {
     return std::unique_lock<std::mutex>(shards_[shard]->mu);
+  }
+
+  /// Test hook: mutable access to shard `i`'s tree, for suites that drive
+  /// maintenance units by hand. Only safe without a scheduler
+  /// (background_maintenance off) or while no job can touch the shard.
+  LsmTree* ShardTreeForTesting(size_t shard) {
+    return shards_[shard]->tree.get();
   }
 
   /// Simulates a crash for the kill-point recovery tests: stops the

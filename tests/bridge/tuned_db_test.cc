@@ -43,11 +43,13 @@ TEST(TunedDbTest, LevelCountInvariantAcrossScale) {
   }
 }
 
-TEST(TunedDbTest, OpenTunedDbLoadsEvenKeys) {
+TEST(TunedDbTest, OneShardInlineDeploymentLoadsEvenKeys) {
   SystemConfig cfg;
-  auto db = OpenTunedDb(cfg, Tuning(Policy::kLeveling, 6.0, 5.0), 5000);
+  auto db = OpenTunedShardedDb(cfg, Tuning(Policy::kLeveling, 6.0, 5.0),
+                               5000, /*num_shards=*/1,
+                               /*background_maintenance=*/false);
   ASSERT_TRUE(db.ok());
-  EXPECT_EQ((*db)->tree().TotalEntries(), 5000u);
+  EXPECT_EQ((*db)->shard_tree(0).TotalEntries(), 5000u);
   EXPECT_TRUE((*db)->Get(2 * 4999).has_value());
   EXPECT_FALSE((*db)->Get(2 * 4999 + 1).has_value());
 }

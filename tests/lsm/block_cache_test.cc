@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "lsm/block_cache.h"
-#include "lsm/db.h"
 #include "lsm/sharded_db.h"
 #include "lsm/statistics.h"
 
@@ -499,7 +498,7 @@ TEST(BlockCacheOptionsTest, CannotEnableCacheAfterOpen) {
   // retune may resize it (including to 0 = pass-through) but not conjure
   // one up.
   Options o;
-  auto db = DB::Open(o);
+  auto db = ShardedDB::Open(o);
   ASSERT_TRUE(db.ok());
   Options with_cache = o;
   with_cache.block_cache_bytes = 1 << 16;
@@ -507,7 +506,7 @@ TEST(BlockCacheOptionsTest, CannotEnableCacheAfterOpen) {
 
   Options cached = o;
   cached.block_cache_bytes = 1 << 16;
-  auto db2 = DB::Open(cached);
+  auto db2 = ShardedDB::Open(cached);
   ASSERT_TRUE(db2.ok());
   ASSERT_NE((*db2)->block_cache(), nullptr);
   Options resized = cached;

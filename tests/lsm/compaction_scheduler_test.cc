@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "lsm/compaction.h"
-#include "lsm/db.h"
 #include "lsm/lsm_tree.h"
 #include "lsm/page_store.h"
 #include "lsm/run_builder.h"
@@ -327,7 +326,6 @@ class MaintenanceProtocolTest : public ::testing::Test {
 
   /// Puts exactly enough keys to seal the active buffer.
   void FillToSeal(Key base) {
-    tree_.set_deferred_backpressure(true);  // keep sealed_ pending
     for (Key k = 0; k < 17; ++k) {
       ASSERT_TRUE(tree_.Put(base + 2 * k, base + k).ok());
     }
@@ -414,7 +412,6 @@ TEST_F(MaintenanceProtocolTest, StaleCompactionUnitDiscardsWhenInputsMoved) {
   // A racing foreground Flush cascades through level 1 before install:
   // the unit's inputs are no longer resident.
   FillToSeal(200);
-  tree_.set_deferred_backpressure(false);
   ASSERT_TRUE(tree_.Flush().ok());
   const uint64_t entries_before = tree_.TotalEntries();
   ASSERT_TRUE(tree_.InstallMaintenance(&unit).ok());
@@ -446,11 +443,11 @@ TEST_F(MaintenanceProtocolTest, StepwiseCascadeConvergesAndConforms) {
 
 // ------------------------------------------ inline vs background engine --
 //
-// An inline tree (background_maintenance off) and a background tree
-// drained through prepare/execute/install after every seal must build the
-// same tree from the same write stream: run placement, entry counts,
-// Monkey filter budgets, flush/compaction page I/O, and the point-read
-// cost those shapes imply.
+// An inline one-shard ShardedDB (background_maintenance off) and a bare
+// background tree drained through prepare/execute/install after every
+// seal must build the same tree from the same write stream: run
+// placement, entry counts, Monkey filter budgets, flush/compaction page
+// I/O, and the point-read cost those shapes imply.
 
 /// policy, size ratio T, Monkey (true) or uniform filter memory.
 using EngineCase = std::tuple<CompactionPolicy, int, bool>;
@@ -482,16 +479,26 @@ class MaintenanceProtocolEquivalenceTest
     return o;
   }
 
+  /// A background tree with no scheduler: the test plays the scheduler,
+  /// draining its units by hand after every seal.
+  struct UnitsEngine {
+    explicit UnitsEngine(const Options& o)
+        : store(o.entries_per_page, &stats), tree(o, &store, &stats) {}
+    Statistics stats;
+    MemPageStore store;
+    LsmTree tree;
+  };
+
   void OpenBoth(CompactionPolicy policy, int size_ratio, bool monkey) {
     inline_ = std::move(
-        DB::Open(EngineOpts(policy, size_ratio, monkey, false))).value();
-    units_ = std::move(
-        DB::Open(EngineOpts(policy, size_ratio, monkey, true))).value();
+        ShardedDB::Open(EngineOpts(policy, size_ratio, monkey, false))).value();
+    units_ = std::make_unique<UnitsEngine>(
+        EngineOpts(policy, size_ratio, monkey, true));
   }
 
   /// Drives the background tree's units until none is left.
   void DrainUnits() {
-    LsmTree* tree = units_->mutable_tree();
+    LsmTree* tree = &units_->tree;
     for (MaintenanceUnit unit = tree->PrepareMaintenance();
          unit.kind != MaintenanceUnit::Kind::kNone;
          unit = tree->PrepareMaintenance()) {
@@ -509,12 +516,12 @@ class MaintenanceProtocolEquivalenceTest
       const Key key = rng.UniformInt(0, kKeySpace - 1);
       if (rng.NextDouble() < 0.1) {
         ASSERT_TRUE(inline_->Delete(key).ok());
-        ASSERT_TRUE(units_->Delete(key).ok());
+        ASSERT_TRUE(units_->tree.Delete(key).ok());
       } else {
         ASSERT_TRUE(inline_->Put(key, key + i).ok());
-        ASSERT_TRUE(units_->Put(key, key + i).ok());
+        ASSERT_TRUE(units_->tree.Put(key, key + i).ok());
       }
-      if (units_->tree().HasSealedMemtable()) DrainUnits();
+      if (units_->tree.HasSealedMemtable()) DrainUnits();
       if (i % 500 == 499) {
         ExpectSameShape();
         if (HasFailure()) return;
@@ -523,8 +530,8 @@ class MaintenanceProtocolEquivalenceTest
   }
 
   void ExpectSameShape() {
-    const std::vector<LevelInfo> a = inline_->tree().GetLevelInfos();
-    const std::vector<LevelInfo> b = units_->tree().GetLevelInfos();
+    const std::vector<LevelInfo> a = inline_->shard_tree(0).GetLevelInfos();
+    const std::vector<LevelInfo> b = units_->tree.GetLevelInfos();
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
       SCOPED_TRACE("level " + std::to_string(a[i].level));
@@ -538,8 +545,8 @@ class MaintenanceProtocolEquivalenceTest
   }
 
   void ExpectSameIo() {
-    const Statistics& a = inline_->stats();
-    const Statistics& b = units_->stats();
+    const Statistics a = inline_->TotalStats();
+    const Statistics& b = units_->stats;
     EXPECT_EQ(a.flushes.load(), b.flushes.load());
     EXPECT_EQ(a.compactions.load(), b.compactions.load());
     EXPECT_EQ(a.flush_pages_written.load(), b.flush_pages_written.load());
@@ -551,17 +558,17 @@ class MaintenanceProtocolEquivalenceTest
 
   /// Probes hits and misses on both engines: same answers, same pages.
   void ExpectSamePointReads() {
-    const uint64_t a0 = inline_->stats().point_pages_read.load();
-    const uint64_t b0 = units_->stats().point_pages_read.load();
+    const uint64_t a0 = inline_->TotalStats().point_pages_read.load();
+    const uint64_t b0 = units_->stats.point_pages_read.load();
     for (Key k = 0; k < kKeySpace + 500; k += 3) {
-      ASSERT_EQ(inline_->Get(k), units_->Get(k)) << "key " << k;
+      ASSERT_EQ(inline_->Get(k), units_->tree.Get(k)) << "key " << k;
     }
-    EXPECT_EQ(inline_->stats().point_pages_read.load() - a0,
-              units_->stats().point_pages_read.load() - b0);
+    EXPECT_EQ(inline_->TotalStats().point_pages_read.load() - a0,
+              units_->stats.point_pages_read.load() - b0);
   }
 
-  std::unique_ptr<DB> inline_;
-  std::unique_ptr<DB> units_;
+  std::unique_ptr<ShardedDB> inline_;
+  std::unique_ptr<UnitsEngine> units_;
 };
 
 TEST_P(MaintenanceProtocolEquivalenceTest, InlineTreeMatchesDrainedUnits) {
@@ -590,18 +597,18 @@ TEST_F(MaintenanceProtocolEquivalenceTest,
   FeedBoth(/*seed=*/11, /*ops=*/6000);
   ExpectSameShape();
 
-  // Inline: DB::ApplyTuning converges before returning. Background: the
-  // same retune, then the units drain the migration.
+  // Inline: ShardedDB::ApplyTuning converges before returning.
+  // Background: the same retune, then the units drain the migration.
   Options lazy = inline_->options();
   lazy.policy = CompactionPolicy::kLazyLeveling;
   lazy.size_ratio = 2;
   ASSERT_TRUE(inline_->ApplyTuning(lazy).ok());
   lazy.background_maintenance = true;
-  ASSERT_TRUE(units_->mutable_tree()->Reconfigure(lazy).ok());
+  ASSERT_TRUE(units_->tree.Reconfigure(lazy).ok());
   DrainUnits();
 
   EXPECT_TRUE(inline_->Progress().structure_conforming());
-  EXPECT_TRUE(units_->Progress().structure_conforming());
+  EXPECT_TRUE(units_->tree.Progress().structure_conforming());
   ExpectSameShape();
   ExpectSameIo();
   ExpectSamePointReads();

@@ -2,7 +2,8 @@
 // (Options::verify_checksums) and at recovery (Options::scrub_on_recovery),
 // plus the manifest-length cross-check for truncated segment files. The
 // damage is inflicted on the real files between closes — no fault
-// injector, just a hex editor's view of the deployment directory.
+// injector, just a hex editor's view of the deployment directory (a
+// one-shard deployment keeps its segments under shard_0/).
 
 #include <gtest/gtest.h>
 
@@ -11,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "lsm/db.h"
+#include "lsm/sharded_db.h"
 #include "util/env.h"
 #include "util/status.h"
 
@@ -37,7 +38,7 @@ Options DurableOpts(const std::string& dir) {
   return o;
 }
 
-/// Paths of every persistent segment file in `dir`, sorted.
+/// Paths of every segment file in `dir`, sorted.
 std::vector<std::string> SegmentFiles(const std::string& dir) {
   std::vector<std::string> out;
   for (const auto& e : std::filesystem::directory_iterator(dir)) {
@@ -65,7 +66,7 @@ void FlipByte(const std::string& path, std::streamoff offset) {
 
 /// Builds a deployment with one flushed run of keys [0, n) and closes it.
 void SeedDeployment(const Options& opts, Key n) {
-  auto db = DB::Open(opts);
+  auto db = ShardedDB::Open(opts);
   ASSERT_TRUE(db.ok());
   for (Key k = 0; k < n; ++k) {
     ASSERT_TRUE((*db)->Put(k, k + 100).ok());
@@ -78,11 +79,11 @@ TEST(CorruptionTest, RecoveryScrubRejectsBitFlippedSegment) {
   Options opts = DurableOpts(dir);
   SeedDeployment(opts, 64);
 
-  const std::vector<std::string> segs = SegmentFiles(dir);
+  const std::vector<std::string> segs = SegmentFiles(dir + "/shard_0");
   ASSERT_FALSE(segs.empty());
   FlipByte(segs.front(), 4);  // inside the first page's payload
 
-  auto reopened = DB::Open(opts);
+  auto reopened = ShardedDB::Open(opts);
   ASSERT_FALSE(reopened.ok());
   EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption)
       << reopened.status().message();
@@ -93,14 +94,14 @@ TEST(CorruptionTest, TruncatedSegmentFailsRecovery) {
   Options opts = DurableOpts(dir);
   SeedDeployment(opts, 64);
 
-  const std::vector<std::string> segs = SegmentFiles(dir);
+  const std::vector<std::string> segs = SegmentFiles(dir + "/shard_0");
   ASSERT_FALSE(segs.empty());
   const std::string victim = segs.front();
   const auto size = std::filesystem::file_size(victim);
   ASSERT_GT(size, 16u);
   std::filesystem::resize_file(victim, size / 2);
 
-  auto reopened = DB::Open(opts);
+  auto reopened = ShardedDB::Open(opts);
   ASSERT_FALSE(reopened.ok());
   EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption)
       << reopened.status().message();
@@ -111,7 +112,7 @@ TEST(CorruptionTest, ScrubOffDefersDetectionToFirstRead) {
   Options opts = DurableOpts(dir);
   SeedDeployment(opts, 64);
 
-  const std::vector<std::string> segs = SegmentFiles(dir);
+  const std::vector<std::string> segs = SegmentFiles(dir + "/shard_0");
   ASSERT_FALSE(segs.empty());
   FlipByte(segs.front(), 4);
 
@@ -120,7 +121,7 @@ TEST(CorruptionTest, ScrubOffDefersDetectionToFirstRead) {
   // the damage on the first point read that touches the bad page.
   opts.scrub_on_recovery = false;
   opts.verify_checksums = true;
-  auto db = DB::Open(opts);
+  auto db = ShardedDB::Open(opts);
   // Recovery still reads every page to rebuild filters, so a checksum-
   // verifying read path may legitimately refuse the open too; both
   // detect-at-open and detect-at-read satisfy the no-silent-serving bar.
@@ -130,7 +131,7 @@ TEST(CorruptionTest, ScrubOffDefersDetectionToFirstRead) {
   }
   EXPECT_EQ((*db)->Get(0), std::nullopt);  // page 0 holds keys 0..3
   EXPECT_FALSE((*db)->Health().ok());
-  EXPECT_GE((*db)->stats().checksum_failures.load(), 1u);
+  EXPECT_GE((*db)->TotalStats().checksum_failures.load(), 1u);
 }
 
 TEST(CorruptionTest, RuntimeChecksumFailureLatchesReadOnly) {
@@ -139,11 +140,11 @@ TEST(CorruptionTest, RuntimeChecksumFailureLatchesReadOnly) {
   opts.scrub_on_recovery = false;  // let the damaged deployment open
   SeedDeployment(opts, 64);
 
-  const std::vector<std::string> segs = SegmentFiles(dir);
+  const std::vector<std::string> segs = SegmentFiles(dir + "/shard_0");
   ASSERT_FALSE(segs.empty());
   FlipByte(segs.front(), 4);
 
-  auto db = DB::Open(opts);
+  auto db = ShardedDB::Open(opts);
   if (!db.ok()) {
     // Filter rebuild already tripped over the page — equally acceptable.
     EXPECT_EQ(db.status().code(), StatusCode::kCorruption);
@@ -156,8 +157,8 @@ TEST(CorruptionTest, RuntimeChecksumFailureLatchesReadOnly) {
   ASSERT_FALSE(health.ok());
   EXPECT_EQ(health.code(), StatusCode::kCorruption);
   EXPECT_FALSE((*db)->Put(1000, 1).ok());
-  EXPECT_GE((*db)->stats().read_only_transitions.load(), 1u);
-  EXPECT_GE((*db)->stats().checksum_failures.load(), 1u);
+  EXPECT_GE((*db)->TotalStats().read_only_transitions.load(), 1u);
+  EXPECT_GE((*db)->TotalStats().checksum_failures.load(), 1u);
 }
 
 TEST(CorruptionTest, BitRotIsNeverAdmittedToBlockCache) {
@@ -171,12 +172,12 @@ TEST(CorruptionTest, BitRotIsNeverAdmittedToBlockCache) {
   opts.scrub_on_recovery = false;  // let the damaged deployment open
   SeedDeployment(opts, 64);
 
-  const std::vector<std::string> segs = SegmentFiles(dir);
+  const std::vector<std::string> segs = SegmentFiles(dir + "/shard_0");
   ASSERT_FALSE(segs.empty());
   FlipByte(segs.front(), 4);  // inside the first page's payload
 
   opts.block_cache_bytes = 256 * 1024;
-  auto db = DB::Open(opts);
+  auto db = ShardedDB::Open(opts);
   if (!db.ok()) {
     // Filter rebuild already tripped over the page — equally acceptable.
     EXPECT_EQ(db.status().code(), StatusCode::kCorruption);
@@ -186,10 +187,10 @@ TEST(CorruptionTest, BitRotIsNeverAdmittedToBlockCache) {
   for (int i = 0; i < kAttempts; ++i) {
     EXPECT_EQ((*db)->Get(0), std::nullopt);  // page 0 holds keys 0..3
   }
-  EXPECT_EQ((*db)->stats().cache_hits.load(), 0u);
-  EXPECT_GE((*db)->stats().checksum_failures.load(),
+  EXPECT_EQ((*db)->TotalStats().cache_hits.load(), 0u);
+  EXPECT_GE((*db)->TotalStats().checksum_failures.load(),
             static_cast<uint64_t>(kAttempts));
-  EXPECT_GE((*db)->stats().cache_misses.load(),
+  EXPECT_GE((*db)->TotalStats().cache_misses.load(),
             static_cast<uint64_t>(kAttempts));
 }
 
@@ -203,12 +204,12 @@ TEST(CorruptionTest, VerifiedPagesAreServedFromCacheAfterBitRotElsewhere) {
   opts.scrub_on_recovery = false;
   SeedDeployment(opts, 64);
 
-  const std::vector<std::string> segs = SegmentFiles(dir);
+  const std::vector<std::string> segs = SegmentFiles(dir + "/shard_0");
   ASSERT_FALSE(segs.empty());
   FlipByte(segs.front(), 4);
 
   opts.block_cache_bytes = 256 * 1024;
-  auto db = DB::Open(opts);
+  auto db = ShardedDB::Open(opts);
   if (!db.ok()) {
     EXPECT_EQ(db.status().code(), StatusCode::kCorruption);
     return;
@@ -216,19 +217,46 @@ TEST(CorruptionTest, VerifiedPagesAreServedFromCacheAfterBitRotElsewhere) {
   // A key far from the damaged first page: first read admits, the
   // second hits.
   ASSERT_EQ((*db)->Get(40).value_or(0), 140u);
-  const uint64_t hits_before = (*db)->stats().cache_hits.load();
+  const uint64_t hits_before = (*db)->TotalStats().cache_hits.load();
   ASSERT_EQ((*db)->Get(40).value_or(0), 140u);
-  EXPECT_GT((*db)->stats().cache_hits.load(), hits_before);
+  EXPECT_GT((*db)->TotalStats().cache_hits.load(), hits_before);
 
   // Now trip the rotted page, then confirm cached serving of the clean
   // page still works and the failure count stops moving when hits serve.
   EXPECT_EQ((*db)->Get(0), std::nullopt);
-  const uint64_t failures = (*db)->stats().checksum_failures.load();
+  const uint64_t failures = (*db)->TotalStats().checksum_failures.load();
   EXPECT_GE(failures, 1u);
-  const uint64_t hits_mid = (*db)->stats().cache_hits.load();
+  const uint64_t hits_mid = (*db)->TotalStats().cache_hits.load();
   ASSERT_EQ((*db)->Get(40).value_or(0), 140u);
-  EXPECT_GT((*db)->stats().cache_hits.load(), hits_mid);
-  EXPECT_EQ((*db)->stats().checksum_failures.load(), failures);
+  EXPECT_GT((*db)->TotalStats().cache_hits.load(), hits_mid);
+  EXPECT_EQ((*db)->TotalStats().checksum_failures.load(), failures);
+}
+
+TEST(CorruptionTest, EphemeralDeploymentHonoursVerifyChecksumsOff) {
+  // verify_checksums reaches the page store of a non-durable deployment
+  // too: with it off, a flipped byte is read unverified instead of being
+  // counted as a checksum failure.
+  const std::string dir = FreshDir("ephemeral_verify_off");
+  ASSERT_TRUE(EnsureDir(dir).ok());
+  Options opts = DurableOpts(dir);
+  opts.durability = false;
+  opts.verify_checksums = false;
+  auto db = ShardedDB::Open(opts);
+  ASSERT_TRUE(db.ok());
+  for (Key k = 0; k < 64; ++k) {
+    ASSERT_TRUE((*db)->Put(k, k + 100).ok());
+  }
+  ASSERT_TRUE((*db)->Flush().ok());
+
+  // Ephemeral segments live at the storage_dir root, one set per store.
+  const std::vector<std::string> segs = SegmentFiles(dir);
+  ASSERT_FALSE(segs.empty());
+  for (const std::string& seg : segs) FlipByte(seg, 4);
+
+  (void)(*db)->Get(0);  // reads the first page of the run holding key 0
+  EXPECT_GE((*db)->TotalStats().point_pages_read.load(), 1u);
+  EXPECT_EQ((*db)->TotalStats().checksum_failures.load(), 0u);
+  EXPECT_TRUE((*db)->Health().ok());
 }
 
 TEST(CorruptionTest, UndamagedDeploymentScrubsClean) {
@@ -236,13 +264,13 @@ TEST(CorruptionTest, UndamagedDeploymentScrubsClean) {
   Options opts = DurableOpts(dir);
   SeedDeployment(opts, 256);  // several pages and a compaction or two
 
-  auto db = DB::Open(opts);  // scrub_on_recovery is on by default
+  auto db = ShardedDB::Open(opts);  // scrub_on_recovery is on by default
   ASSERT_TRUE(db.ok()) << db.status().message();
   for (Key k = 0; k < 256; ++k) {
     ASSERT_EQ((*db)->Get(k).value_or(0), k + 100) << k;
   }
   EXPECT_TRUE((*db)->Health().ok());
-  EXPECT_EQ((*db)->stats().checksum_failures.load(), 0u);
+  EXPECT_EQ((*db)->TotalStats().checksum_failures.load(), 0u);
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // Differential tests: seeded random op traces (uniform and skewed key
-// distributions) run against the engine front-ends and a std::map oracle.
-// Every Get/Scan is compared op-by-op, so a divergence reports the seed
-// and the first diverging op index — a deterministic reproducer. Both
-// front-ends (DB, ShardedDB) x both storage backends x both maintenance
-// modes are covered; the multi-threaded linearizability side lives in
+// distributions) run against ShardedDB and a std::map oracle. Every
+// Get/Scan is compared op-by-op, so a divergence reports the seed and the
+// first diverging op index — a deterministic reproducer. The one-shard
+// inline leg ("Db": the single tree the paper's experiments measure) and
+// multi-shard legs x both storage backends x both maintenance modes are
+// covered; the multi-threaded linearizability side lives in
 // sharded_db_test.cc.
 //
 // The kill-point harness at the bottom additionally drops the process
@@ -18,7 +19,6 @@
 #include <filesystem>
 #include <memory>
 
-#include "lsm/db.h"
 #include "lsm/sharded_db.h"
 #include "testing/reference_model.h"
 #include "util/random.h"
@@ -44,12 +44,10 @@ Options SmallOpts(StorageBackend backend) {
 }
 
 /// Runs ops[begin, end) against `db` and `oracle`; fails (with seed and
-/// op index) at the first divergence. Works for any front-end with the
-/// DB surface. kReconfigure ops apply `tunings[op.value]` live
-/// (ApplyTuning); the oracle is untouched — a reconfiguration must never
-/// change contents.
-template <typename DbT>
-void RunOps(DbT* db, const std::vector<Op>& ops, size_t begin, size_t end,
+/// op index) at the first divergence. kReconfigure ops apply
+/// `tunings[op.value]` live (ApplyTuning); the oracle is untouched — a
+/// reconfiguration must never change contents.
+void RunOps(ShardedDB* db, const std::vector<Op>& ops, size_t begin, size_t end,
             ReferenceModel* oracle_ptr, uint64_t seed,
             const std::vector<Options>* tunings = nullptr,
             VersionedOracle* versioned = nullptr) {
@@ -120,8 +118,7 @@ void RunOps(DbT* db, const std::vector<Op>& ops, size_t begin, size_t end,
 }
 
 /// Full-state check: the whole key domain in one scan against the oracle.
-template <typename DbT>
-void VerifyFullScan(DbT* db, const ReferenceModel& oracle, uint64_t seed,
+void VerifyFullScan(ShardedDB* db, const ReferenceModel& oracle, uint64_t seed,
                     const char* where) {
   const std::vector<Entry> got = db->Scan(0, ~0ull).value();
   const auto want = oracle.Scan(0, ~0ull);
@@ -134,8 +131,7 @@ void VerifyFullScan(DbT* db, const ReferenceModel& oracle, uint64_t seed,
 }
 
 /// Whole-trace differential: fresh oracle, every op, final scan.
-template <typename DbT>
-void RunDifferential(DbT* db, const std::vector<Op>& ops, uint64_t seed,
+void RunDifferential(ShardedDB* db, const std::vector<Op>& ops, uint64_t seed,
                      const std::vector<Options>* tunings = nullptr) {
   ReferenceModel oracle;
   RunOps(db, ops, 0, ops.size(), &oracle, seed, tunings);
@@ -161,7 +157,7 @@ std::vector<Config> Configs() {
 TEST(DifferentialTest, DbMatchesOracle) {
   for (const Config& c : Configs()) {
     for (uint64_t seed = 1; seed <= 3; ++seed) {
-      auto db = DB::Open(SmallOpts(c.backend));
+      auto db = ShardedDB::Open(SmallOpts(c.backend));
       ASSERT_TRUE(db.ok());
       RunDifferential(db->get(), GenerateTrace(seed, c.ops, c.dist), seed);
       if (::testing::Test::HasFatalFailure()) return;
@@ -223,7 +219,7 @@ TEST(DifferentialTest, DbMatchesOracleAcrossLiveReconfigs) {
   for (const Config& c : Configs()) {
     for (uint64_t seed = 31; seed <= 32; ++seed) {
       Options base = SmallOpts(c.backend);
-      auto db = DB::Open(base);
+      auto db = ShardedDB::Open(base);
       ASSERT_TRUE(db.ok());
       const std::vector<Options> presets = ReconfigPresets(base);
       const auto ops = endure::testing::InjectReconfigures(
@@ -265,7 +261,6 @@ TEST(DifferentialTest, ShardedDbMatchesOracleAcrossLiveReconfigs) {
 /// drive the rest of the trace on the recovered instance and verify the
 /// final state. `reconfigure` injects live retunes into the trace so
 /// kills also land between ApplyTuning and migration convergence.
-template <typename DbT>
 void RunKillPointDifferential(const Options& opts, uint64_t seed,
                               size_t num_ops, KeyDistribution dist,
                               bool reconfigure) {
@@ -284,14 +279,14 @@ void RunKillPointDifferential(const Options& opts, uint64_t seed,
 
   ReferenceModel oracle;
   {
-    auto db = DbT::Open(opts);
+    auto db = ShardedDB::Open(opts);
     ASSERT_TRUE(db.ok());
     RunOps(db->get(), ops, 0, kill_at, &oracle, seed,
            reconfigure ? &presets : nullptr);
     if (::testing::Test::HasFatalFailure()) return;
     (*db)->CrashForTesting();
   }
-  auto db = DbT::Open(opts);
+  auto db = ShardedDB::Open(opts);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   VerifyFullScan(db->get(), oracle, seed, "post-recovery scan");
   if (::testing::Test::HasFatalFailure()) return;
@@ -313,7 +308,7 @@ Options DurableSmallOpts(const std::string& dir) {
 
 TEST(DifferentialTest, KillPointRecoveryDb) {
   for (uint64_t seed = 51; seed <= 53; ++seed) {
-    RunKillPointDifferential<DB>(
+    RunKillPointDifferential(
         DurableSmallOpts("/tmp/endure_diff_kill_db"), seed, 1200,
         KeyDistribution::kUniform, /*reconfigure=*/false);
     if (::testing::Test::HasFatalFailure()) return;
@@ -322,7 +317,7 @@ TEST(DifferentialTest, KillPointRecoveryDb) {
 
 TEST(DifferentialTest, KillPointRecoveryDbAcrossReconfigs) {
   for (uint64_t seed = 61; seed <= 62; ++seed) {
-    RunKillPointDifferential<DB>(
+    RunKillPointDifferential(
         DurableSmallOpts("/tmp/endure_diff_kill_db_retune"), seed, 1200,
         KeyDistribution::kSkewed, /*reconfigure=*/true);
     if (::testing::Test::HasFatalFailure()) return;
@@ -334,7 +329,7 @@ TEST(DifferentialTest, KillPointRecoveryShardedDb) {
     Options o = DurableSmallOpts("/tmp/endure_diff_kill_sharded");
     o.num_shards = 4;
     o.background_maintenance = true;
-    RunKillPointDifferential<ShardedDB>(o, seed, 1200,
+    RunKillPointDifferential(o, seed, 1200,
                                         KeyDistribution::kUniform,
                                         /*reconfigure=*/false);
     if (::testing::Test::HasFatalFailure()) return;
@@ -349,7 +344,7 @@ TEST(DifferentialTest, KillPointRecoveryShardedDbAcrossReconfigs) {
     Options o = DurableSmallOpts("/tmp/endure_diff_kill_sharded_retune");
     o.num_shards = 3;
     o.background_maintenance = true;
-    RunKillPointDifferential<ShardedDB>(o, seed, 1200,
+    RunKillPointDifferential(o, seed, 1200,
                                         KeyDistribution::kSkewed,
                                         /*reconfigure=*/true);
     if (::testing::Test::HasFatalFailure()) return;
@@ -414,7 +409,7 @@ TEST(DifferentialTest, DbSnapshotScansMatchVersionedOracle) {
   // the versioned oracle's latest state exactly (the window degenerates
   // when there is no concurrency).
   for (const Config& c : Configs()) {
-    auto db = DB::Open(SmallOpts(c.backend));
+    auto db = ShardedDB::Open(SmallOpts(c.backend));
     ASSERT_TRUE(db.ok());
     ReferenceModel oracle;
     VersionedOracle versioned;
@@ -445,19 +440,18 @@ TEST(DifferentialTest, ShardedDbSnapshotScansMatchVersionedOracle) {
 }
 
 TEST(DifferentialTest, SealedBufferStaysVisible) {
-  // Single-tree background mode: fill exactly to the seal edge and verify
-  // every acknowledged write is readable while the buffer sits sealed.
+  // One-shard background mode: fill across several seal edges and verify
+  // every acknowledged write is readable whether its buffer is active,
+  // sealed or being flushed by the scheduler.
   Options o = SmallOpts(StorageBackend::kMemory);
   o.background_maintenance = true;
-  auto db = DB::Open(o);
+  auto db = ShardedDB::Open(o);
   ASSERT_TRUE(db.ok());
   ReferenceModel oracle;
   for (Key k = 0; k < 3 * o.buffer_entries; ++k) {
     (*db)->Put(k, k + 1);
     oracle.Put(k, k + 1);
   }
-  // Nothing external ever drained the maintenance units: reads must still
-  // see the sealed buffer (and the inline fallback keeps at most one).
   for (Key k = 0; k < 3 * o.buffer_entries; ++k) {
     const auto got = (*db)->Get(k);
     ASSERT_TRUE(got.has_value()) << "key " << k << " lost behind the seal";

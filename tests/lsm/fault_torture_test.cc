@@ -29,7 +29,7 @@
 #include <string>
 #include <vector>
 
-#include "lsm/db.h"
+#include "lsm/sharded_db.h"
 #include "util/env.h"
 #include "util/fault_injection.h"
 #include "util/status.h"
@@ -146,7 +146,7 @@ void RunOneSchedule(uint64_t seed, uint64_t block_cache_bytes = 0) {
   std::map<Key, KeyState> oracle;
 
   {
-    auto db = DB::Open(opts);
+    auto db = ShardedDB::Open(opts);
     ASSERT_TRUE(db.ok()) << "seed " << seed << ": " << db.status().message();
 
     ScopedFaultInjector fi;
@@ -197,7 +197,7 @@ void RunOneSchedule(uint64_t seed, uint64_t block_cache_bytes = 0) {
     // A latched tree must self-report, not just reject writes.
     if (!(*db)->Health().ok()) {
       EXPECT_TRUE(saw_rejection) << "seed " << seed;
-      EXPECT_GE((*db)->stats().read_only_transitions.load(), 1u)
+      EXPECT_GE((*db)->TotalStats().read_only_transitions.load(), 1u)
           << "seed " << seed;
     }
 
@@ -210,7 +210,7 @@ void RunOneSchedule(uint64_t seed, uint64_t block_cache_bytes = 0) {
 
     // Reopen on healthy storage. Silent on-device damage may legally
     // surface here as a scrub refusal — anything else must recover.
-    auto reopened = DB::Open(opts);
+    auto reopened = ShardedDB::Open(opts);
     if (!reopened.ok()) {
       ASSERT_EQ(reopened.status().code(), StatusCode::kCorruption)
           << "seed " << seed << ": " << reopened.status().message();

@@ -7,10 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <memory>
 
-#include "lsm/db.h"
 #include "lsm/sharded_db.h"
+#include "util/fault_injection.h"
 
 namespace endure::lsm {
 namespace {
@@ -26,14 +27,12 @@ Options BaseOpts() {
 
 /// Fills `db` with `n` distinct keys (values key+1), flushing at the end
 /// so everything lives in runs.
-template <typename DbT>
-void Fill(DbT* db, Key n) {
+void Fill(ShardedDB* db, Key n) {
   for (Key k = 0; k < n; ++k) db->Put(k, k + 1);
   db->Flush();
 }
 
-template <typename DbT>
-void ExpectAllReadable(DbT* db, Key n) {
+void ExpectAllReadable(ShardedDB* db, Key n) {
   for (Key k = 0; k < n; ++k) {
     const auto got = db->Get(k);
     ASSERT_TRUE(got.has_value()) << "key " << k;
@@ -44,7 +43,7 @@ void ExpectAllReadable(DbT* db, Key n) {
 }
 
 TEST(ReconfigureTest, RejectsImmutableKnobChanges) {
-  auto db = std::move(DB::Open(BaseOpts())).value();
+  auto db = std::move(ShardedDB::Open(BaseOpts())).value();
 
   Options page = BaseOpts();
   page.entries_per_page = 8;
@@ -62,67 +61,83 @@ TEST(ReconfigureTest, RejectsImmutableKnobChanges) {
   invalid.size_ratio = 1;
   EXPECT_FALSE(db->ApplyTuning(invalid).ok());
 
-  // A failed apply leaves the tuning epoch untouched.
-  EXPECT_EQ(db->tree().tuning_epoch(), 0u);
-
-  auto sharded = std::move(ShardedDB::Open(BaseOpts())).value();
   Options shards = BaseOpts();
   shards.num_shards = 2;
-  EXPECT_FALSE(sharded->ApplyTuning(shards).ok());
+  EXPECT_FALSE(db->ApplyTuning(shards).ok());
+
+  // A failed apply leaves the tuning epoch untouched.
+  EXPECT_EQ(db->shard_tree(0).tuning_epoch(), 0u);
 }
 
 TEST(ReconfigureTest, EveryApplyBumpsTheEpochOnce) {
-  auto db = std::move(DB::Open(BaseOpts())).value();
+  auto db = std::move(ShardedDB::Open(BaseOpts())).value();
   ASSERT_TRUE(db->ApplyTuning(BaseOpts()).ok());  // no-op knobs still count
   ASSERT_TRUE(db->ApplyTuning(BaseOpts()).ok());
-  EXPECT_EQ(db->tree().tuning_epoch(), 2u);
-  EXPECT_EQ(db->stats().reconfigurations, 2u);
+  EXPECT_EQ(db->shard_tree(0).tuning_epoch(), 2u);
+  EXPECT_EQ(db->TotalStats().reconfigurations, 2u);
 }
 
 TEST(ReconfigureTest, BufferShrinkFlushesInline) {
-  auto db = std::move(DB::Open(BaseOpts())).value();
+  auto db = std::move(ShardedDB::Open(BaseOpts())).value();
   for (Key k = 0; k < 100; ++k) db->Put(k, k + 1);  // buffer holds 100/128
-  ASSERT_EQ(db->stats().flushes, 0u);
+  ASSERT_EQ(db->TotalStats().flushes, 0u);
 
   Options shrunk = BaseOpts();
   shrunk.buffer_entries = 64;  // below current fill: reseal at once
   ASSERT_TRUE(db->ApplyTuning(shrunk).ok());
-  EXPECT_GT(db->stats().flushes, 0u);
-  EXPECT_EQ(db->tree().memtable().capacity(), 64u);
+  EXPECT_GT(db->TotalStats().flushes, 0u);
+  EXPECT_EQ(db->shard_tree(0).memtable().capacity(), 64u);
   ExpectAllReadable(db.get(), 100);
 }
 
 TEST(ReconfigureTest, BufferShrinkSealsUnderBackgroundMaintenance) {
   Options base = BaseOpts();
   base.background_maintenance = true;
-  auto db = std::move(DB::Open(base)).value();
+  base.backend = StorageBackend::kFile;  // segment writes can be failed
+  base.storage_dir = "/tmp/endure_reconfigure_test_reseal";
+  base.background_retry_base_ms = 1000;  // a failed flush parks past the test
+  base.background_max_retries = 50;
+  auto db = std::move(ShardedDB::Open(base)).value();
   for (Key k = 0; k < 100; ++k) db->Put(k, k + 1);
 
+  // Segment writes fail from here on, so the scheduler cannot drain the
+  // sealed buffer while the test looks at it.
+  ScopedFaultInjector inject;
+  FaultInjector::Rule fail;
+  fail.count = UINT64_MAX;
+  fail.err = EIO;
+  inject->Arm(FaultSite::kSegmentWrite, fail);
   Options shrunk = base;
   shrunk.buffer_entries = 64;
   ASSERT_TRUE(db->ApplyTuning(shrunk).ok());
   // Background mode never flushes inline: the over-full buffer is sealed
   // (still readable) and waits for maintenance.
-  EXPECT_TRUE(db->tree().HasSealedMemtable());
-  EXPECT_EQ(db->stats().flushes, 0u);
+  {
+    auto lock = db->LockShardForTesting(0);
+    EXPECT_TRUE(db->shard_tree(0).HasSealedMemtable());
+  }
+  // Statistics::flushes counts flush attempts, and the scheduler's failed
+  // one may already have run: check that no flush output was written.
+  EXPECT_EQ(db->TotalStats().flush_pages_written, 0u);
   ExpectAllReadable(db.get(), 100);
+  db.reset();  // stop the scheduler before the injector goes
 }
 
 TEST(ReconfigureTest, BufferGrowthKeepsEntriesAndRaisesThreshold) {
-  auto db = std::move(DB::Open(BaseOpts())).value();
+  auto db = std::move(ShardedDB::Open(BaseOpts())).value();
   for (Key k = 0; k < 100; ++k) db->Put(k, k + 1);
 
   Options grown = BaseOpts();
   grown.buffer_entries = 512;
   ASSERT_TRUE(db->ApplyTuning(grown).ok());
-  EXPECT_EQ(db->stats().flushes, 0u);  // nothing forced out
-  EXPECT_EQ(db->tree().memtable().size(), 100u);
-  EXPECT_EQ(db->tree().memtable().capacity(), 512u);
+  EXPECT_EQ(db->TotalStats().flushes, 0u);  // nothing forced out
+  EXPECT_EQ(db->shard_tree(0).memtable().size(), 100u);
+  EXPECT_EQ(db->shard_tree(0).memtable().capacity(), 512u);
   ExpectAllReadable(db.get(), 100);
 }
 
 TEST(ReconfigureTest, NewBloomBudgetAppliesToNewRunsOnly) {
-  auto db = std::move(DB::Open(BaseOpts())).value();
+  auto db = std::move(ShardedDB::Open(BaseOpts())).value();
   Fill(db.get(), 2000);
 
   Options fat = BaseOpts();
@@ -138,13 +153,13 @@ TEST(ReconfigureTest, NewBloomBudgetAppliesToNewRunsOnly) {
   EXPECT_GT(p.entries_total, 0u);
 
   // A fresh flush lands a current-epoch run with the fatter filter.
-  const std::vector<LevelInfo> before = db->tree().GetLevelInfos();
+  const std::vector<LevelInfo> before = db->shard_tree(0).GetLevelInfos();
   for (Key k = 10000; k < 10000 + 200; ++k) db->Put(k, k + 1);
   db->Flush();
   p = db->Progress();
   EXPECT_GT(p.entries_current, 0u);
   bool found_current = false;
-  for (const LevelInfo& info : db->tree().GetLevelInfos()) {
+  for (const LevelInfo& info : db->shard_tree(0).GetLevelInfos()) {
     if (info.current_epoch_runs == 0) continue;
     found_current = true;
     // Leveling keeps one run per level, so this level's filter is the
@@ -163,12 +178,12 @@ TEST(ReconfigureTest, NewBloomBudgetAppliesToNewRunsOnly) {
 TEST(ReconfigureTest, TieringToLevelingReshapesEveryLevel) {
   Options tiering = BaseOpts();
   tiering.policy = CompactionPolicy::kTiering;
-  auto db = std::move(DB::Open(tiering)).value();
+  auto db = std::move(ShardedDB::Open(tiering)).value();
   Fill(db.get(), 4000);
 
   // Tiering left multi-run levels behind.
   uint64_t multi_run_levels = 0;
-  for (const LevelInfo& info : db->tree().GetLevelInfos()) {
+  for (const LevelInfo& info : db->shard_tree(0).GetLevelInfos()) {
     if (info.num_runs > 1) ++multi_run_levels;
   }
   ASSERT_GT(multi_run_levels, 0u);
@@ -177,8 +192,8 @@ TEST(ReconfigureTest, TieringToLevelingReshapesEveryLevel) {
   ASSERT_TRUE(db->ApplyTuning(leveling).ok());  // DB converges inline
 
   EXPECT_TRUE(db->Progress().structure_conforming());
-  EXPECT_GT(db->stats().migration_steps, 0u);
-  for (const LevelInfo& info : db->tree().GetLevelInfos()) {
+  EXPECT_GT(db->TotalStats().migration_steps, 0u);
+  for (const LevelInfo& info : db->shard_tree(0).GetLevelInfos()) {
     EXPECT_LE(info.num_runs, 1u) << "level " << info.level;
     if (info.num_runs == 1) {
       EXPECT_LE(info.num_entries, info.capacity) << "level " << info.level;
@@ -188,38 +203,38 @@ TEST(ReconfigureTest, TieringToLevelingReshapesEveryLevel) {
 }
 
 TEST(ReconfigureTest, LevelingToTieringConformsWithoutWork) {
-  auto db = std::move(DB::Open(BaseOpts())).value();
+  auto db = std::move(ShardedDB::Open(BaseOpts())).value();
   Fill(db.get(), 4000);
 
   Options tiering = BaseOpts();
   tiering.policy = CompactionPolicy::kTiering;
   ASSERT_TRUE(db->ApplyTuning(tiering).ok());
   // One run per level already satisfies tiering: no migration I/O at all.
-  EXPECT_EQ(db->stats().migration_steps, 0u);
+  EXPECT_EQ(db->TotalStats().migration_steps, 0u);
   EXPECT_TRUE(db->Progress().structure_conforming());
 
   // From here on runs accumulate per level instead of merging eagerly.
-  const uint64_t compactions_before = db->stats().compactions;
+  const uint64_t compactions_before = db->TotalStats().compactions;
   for (Key k = 10000; k < 10000 + 2 * 128; ++k) db->Put(k, k + 1);
   db->Flush();
-  EXPECT_EQ(db->stats().compactions, compactions_before);
+  EXPECT_EQ(db->TotalStats().compactions, compactions_before);
   ExpectAllReadable(db.get(), 4000);
 }
 
 TEST(ReconfigureTest, SizeRatioShrinkCascadesDataDeeper) {
   Options wide = BaseOpts();
   wide.size_ratio = 10;
-  auto db = std::move(DB::Open(wide)).value();
+  auto db = std::move(ShardedDB::Open(wide)).value();
   Fill(db.get(), 6000);
-  const int depth_before = db->tree().DeepestLevel();
+  const int depth_before = db->shard_tree(0).DeepestLevel();
 
   Options narrow = BaseOpts();
   narrow.size_ratio = 2;  // every level capacity shrinks drastically
   ASSERT_TRUE(db->ApplyTuning(narrow).ok());
 
   EXPECT_TRUE(db->Progress().structure_conforming());
-  EXPECT_GE(db->tree().DeepestLevel(), depth_before);
-  for (const LevelInfo& info : db->tree().GetLevelInfos()) {
+  EXPECT_GE(db->shard_tree(0).DeepestLevel(), depth_before);
+  for (const LevelInfo& info : db->shard_tree(0).GetLevelInfos()) {
     if (info.num_runs == 1) {
       EXPECT_LE(info.num_entries, info.capacity) << "level " << info.level;
     }

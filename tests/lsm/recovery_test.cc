@@ -1,11 +1,13 @@
 // Crash-recovery unit suite (docs/durability.md): manifest round-trips,
-// close-then-reopen and kill-then-reopen on DB and ShardedDB, persisted
-// tunings, recover-mid-migration, orphan segment cleanup, sync-mode
-// guarantees and the durability statistics counters. The randomized
-// kill-point differential harness lives in differential_test.cc.
+// close-then-reopen and kill-then-reopen on one- and multi-shard
+// ShardedDB deployments, persisted tunings, recover-mid-migration, orphan
+// segment cleanup, sync-mode guarantees and the durability statistics
+// counters. The randomized kill-point differential harness lives in
+// differential_test.cc.
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <chrono>
 #include <filesystem>
 #include <map>
@@ -14,10 +16,10 @@
 #include <thread>
 
 #include "bridge/tuned_db.h"
-#include "lsm/db.h"
 #include "lsm/manifest.h"
 #include "lsm/sharded_db.h"
 #include "util/env.h"
+#include "util/fault_injection.h"
 
 namespace endure::lsm {
 namespace {
@@ -107,7 +109,7 @@ TEST(RecoveryTest, FreshOpenThenCleanCloseThenReopen) {
   const std::string dir = FreshDir("clean_close");
   std::map<Key, Value> oracle;
   {
-    auto db = DB::Open(DurableOpts(dir));
+    auto db = ShardedDB::Open(DurableOpts(dir));
     ASSERT_TRUE(db.ok());
     for (Key k = 0; k < 500; ++k) {
       (*db)->Put(k, k * 3 + 1);
@@ -119,9 +121,9 @@ TEST(RecoveryTest, FreshOpenThenCleanCloseThenReopen) {
     }
     // Clean close: destructor syncs the WAL whatever the mode.
   }
-  auto db = DB::Open(DurableOpts(dir));
+  auto db = ShardedDB::Open(DurableOpts(dir));
   ASSERT_TRUE(db.ok());
-  EXPECT_EQ((*db)->stats().recoveries.load(), 1u);
+  EXPECT_EQ((*db)->TotalStats().recoveries.load(), 1u);
   for (Key k = 0; k < 500; ++k) {
     const auto got = (*db)->Get(k);
     const auto want = oracle.find(k);
@@ -136,7 +138,7 @@ TEST(RecoveryTest, KillAfterAckedWritesLosesNothingPerBatch) {
   const std::string dir = FreshDir("kill_perbatch");
   std::map<Key, Value> oracle;
   {
-    auto db = DB::Open(DurableOpts(dir));
+    auto db = ShardedDB::Open(DurableOpts(dir));
     ASSERT_TRUE(db.ok());
     // Enough to cross several flush/compaction edges, then more writes
     // that stay memtable-resident (covered only by the WAL).
@@ -146,9 +148,9 @@ TEST(RecoveryTest, KillAfterAckedWritesLosesNothingPerBatch) {
     }
     (*db)->CrashForTesting();
   }
-  auto db = DB::Open(DurableOpts(dir));
+  auto db = ShardedDB::Open(DurableOpts(dir));
   ASSERT_TRUE(db.ok());
-  EXPECT_GT((*db)->stats().wal_replayed_entries.load(), 0u);
+  EXPECT_GT((*db)->TotalStats().wal_replayed_entries.load(), 0u);
   for (const auto& [k, v] : oracle) {
     const auto got = (*db)->Get(k);
     ASSERT_TRUE(got.has_value()) << "acked write lost: key " << k;
@@ -161,17 +163,32 @@ TEST(RecoveryTest, SealedBufferSurvivesKill) {
   const std::string dir = FreshDir("sealed");
   Options o = DurableOpts(dir);
   o.background_maintenance = true;  // full buffers seal instead of flush
+  o.background_retry_base_ms = 1000;  // a failed flush parks past the kill
+  o.background_max_retries = 50;
   {
-    auto db = DB::Open(o);
+    auto db = ShardedDB::Open(o);
     ASSERT_TRUE(db.ok());
-    // 2.5 buffers: one flushed by backpressure, one sealed, half active.
-    for (Key k = 0; k < o.buffer_entries * 5 / 2; ++k) {
-      (*db)->Put(k, k + 7);
+    // 2.5 buffers: one flushed by maintenance, one sealed, half active.
+    Key k = 0;
+    for (; k < o.buffer_entries; ++k) ASSERT_TRUE((*db)->Put(k, k + 7).ok());
+    (*db)->WaitForMaintenance();
+    // Segment writes now fail, so the next sealed buffer's flush keeps
+    // failing and backing off: the buffer stays sealed until the kill.
+    ScopedFaultInjector inject;
+    FaultInjector::Rule fail;
+    fail.count = UINT64_MAX;
+    fail.err = EIO;
+    inject->Arm(FaultSite::kSegmentWrite, fail);
+    for (; k < o.buffer_entries * 5 / 2; ++k) {
+      ASSERT_TRUE((*db)->Put(k, k + 7).ok());
     }
-    ASSERT_TRUE((*db)->tree().HasSealedMemtable());
+    {
+      auto lock = (*db)->LockShardForTesting(0);
+      ASSERT_TRUE((*db)->shard_tree(0).HasSealedMemtable());
+    }
     (*db)->CrashForTesting();
   }
-  auto db = DB::Open(o);
+  auto db = ShardedDB::Open(o);
   ASSERT_TRUE(db.ok());
   for (Key k = 0; k < o.buffer_entries * 5 / 2; ++k) {
     const auto got = (*db)->Get(k);
@@ -184,7 +201,7 @@ TEST(RecoveryTest, PutBatchGroupCommitSurvivesKill) {
   const std::string dir = FreshDir("putbatch");
   std::map<Key, Value> oracle;
   {
-    auto db = DB::Open(DurableOpts(dir));
+    auto db = ShardedDB::Open(DurableOpts(dir));
     ASSERT_TRUE(db.ok());
     std::vector<std::pair<Key, Value>> batch;
     for (Key k = 0; k < 300; ++k) {
@@ -192,10 +209,10 @@ TEST(RecoveryTest, PutBatchGroupCommitSurvivesKill) {
       oracle[k * 2] = k;
     }
     (*db)->PutBatch(batch);
-    EXPECT_EQ((*db)->stats().wal_records.load(), 300u);
+    EXPECT_EQ((*db)->TotalStats().wal_records.load(), 300u);
     (*db)->CrashForTesting();
   }
-  auto db = DB::Open(DurableOpts(dir));
+  auto db = ShardedDB::Open(DurableOpts(dir));
   ASSERT_TRUE(db.ok());
   for (const auto& [k, v] : oracle) {
     const auto got = (*db)->Get(k);
@@ -213,20 +230,20 @@ TEST(RecoveryTest, AppliedTuningSurvivesKill) {
   tuned.filter_bits_per_entry = 9.0;
   tuned.buffer_entries = base.buffer_entries * 2;
   {
-    auto db = DB::Open(base);
+    auto db = ShardedDB::Open(base);
     ASSERT_TRUE(db.ok());
     for (Key k = 0; k < 400; ++k) (*db)->Put(k, k);
     ASSERT_TRUE((*db)->ApplyTuning(tuned).ok());
     (*db)->CrashForTesting();
   }
   // Reopen with the ORIGINAL options: the persisted tuning must win.
-  auto db = DB::Open(base);
+  auto db = ShardedDB::Open(base);
   ASSERT_TRUE(db.ok());
   EXPECT_EQ((*db)->options().policy, CompactionPolicy::kTiering);
   EXPECT_EQ((*db)->options().size_ratio, 3);
   EXPECT_EQ((*db)->options().filter_bits_per_entry, 9.0);
   EXPECT_EQ((*db)->options().buffer_entries, base.buffer_entries * 2);
-  EXPECT_EQ((*db)->tree().options().policy, CompactionPolicy::kTiering);
+  EXPECT_EQ((*db)->shard_tree(0).options().policy, CompactionPolicy::kTiering);
   for (Key k = 0; k < 400; ++k) {
     ASSERT_EQ((*db)->Get(k).value_or(~0ull), k);
   }
@@ -243,16 +260,18 @@ TEST(RecoveryTest, ResumesMidMigrationExactlyWhereItStopped) {
   tuned.policy = CompactionPolicy::kLeveling;
   tuned.size_ratio = 3;
   tuned.filter_bits_per_entry = 3.0;
+  tuned.storage_dir = dir + "/shard_0";  // the tree's own directory
 
   uint64_t epoch_at_kill = 0;
   MigrationProgress progress_at_kill;
   {
-    auto db = DB::Open(base);
+    auto db = ShardedDB::Open(base);
     ASSERT_TRUE(db.ok());
     for (Key k = 0; k < 2000; ++k) (*db)->Put(k, k + 1);
-    // Reconfigure directly (DB::ApplyTuning would converge synchronously)
-    // and take exactly one migration step, then die mid-flight.
-    LsmTree* tree = (*db)->mutable_tree();
+    // Reconfigure directly (an inline ApplyTuning would converge
+    // synchronously) and take exactly one migration step, then die
+    // mid-flight.
+    LsmTree* tree = (*db)->ShardTreeForTesting(0);
     ASSERT_TRUE(tree->Reconfigure(tuned).ok());
     MaintenanceUnit unit = tree->PrepareMaintenance();
     const bool stepped = unit.kind != MaintenanceUnit::Kind::kNone;
@@ -260,31 +279,43 @@ TEST(RecoveryTest, ResumesMidMigrationExactlyWhereItStopped) {
     ASSERT_TRUE(tree->InstallMaintenance(&unit).ok());
     ASSERT_TRUE(stepped);
     ASSERT_TRUE(tree->MigrationPending());
-    epoch_at_kill = (*db)->tree().tuning_epoch();
+    epoch_at_kill = (*db)->shard_tree(0).tuning_epoch();
     progress_at_kill = (*db)->Progress();
     (*db)->CrashForTesting();
   }
-  auto db = DB::Open(base);
-  ASSERT_TRUE(db.ok());
-  // The reopened tree is mid-migration under the persisted tuning, with
-  // the identical epoch and per-run progress the kill interrupted.
-  EXPECT_EQ((*db)->tree().tuning_epoch(), epoch_at_kill);
-  EXPECT_TRUE((*db)->mutable_tree()->MigrationPending());
-  const MigrationProgress progress = (*db)->Progress();
-  EXPECT_EQ(progress.epoch, progress_at_kill.epoch);
-  EXPECT_EQ(progress.runs_total, progress_at_kill.runs_total);
-  EXPECT_EQ(progress.runs_current, progress_at_kill.runs_current);
-  EXPECT_EQ(progress.entries_current, progress_at_kill.entries_current);
-  EXPECT_EQ(progress.nonconforming_levels,
-            progress_at_kill.nonconforming_levels);
-  // Resume: the maintenance units pick up and converge; contents intact.
-  LsmTree* tree = (*db)->mutable_tree();
-  for (MaintenanceUnit unit = tree->PrepareMaintenance();
-       unit.kind != MaintenanceUnit::Kind::kNone;
-       unit = tree->PrepareMaintenance()) {
-    ASSERT_TRUE(tree->ExecuteMaintenance(&unit, MergeLimits{}).ok());
-    ASSERT_TRUE(tree->InstallMaintenance(&unit).ok());
+  {
+    // The shard directory recovered on its own, before any owner resumes
+    // it: mid-migration under the persisted tuning, with the identical
+    // epoch and per-run progress the kill interrupted.
+    const std::string shard_dir = dir + "/shard_0";
+    Options opts = base;
+    opts.storage_dir = shard_dir;
+    ManifestData m;
+    auto existing = LoadDurableState(shard_dir, &opts, &m);
+    ASSERT_TRUE(existing.ok() && *existing);
+    Statistics stats;
+    auto store = MakePageStore(opts.entries_per_page, &stats,
+                               static_cast<int>(opts.backend), shard_dir,
+                               /*persistent=*/true);
+    LsmTree tree(opts, store.get(), &stats);
+    ASSERT_TRUE(RecoverAndAttach(&tree, m, true, shard_dir, nullptr).ok());
+    EXPECT_EQ(tree.tuning_epoch(), epoch_at_kill);
+    EXPECT_TRUE(tree.MigrationPending());
+    const MigrationProgress progress = tree.Progress();
+    EXPECT_EQ(progress.epoch, progress_at_kill.epoch);
+    EXPECT_EQ(progress.runs_total, progress_at_kill.runs_total);
+    EXPECT_EQ(progress.runs_current, progress_at_kill.runs_current);
+    EXPECT_EQ(progress.entries_current, progress_at_kill.entries_current);
+    EXPECT_EQ(progress.nonconforming_levels,
+              progress_at_kill.nonconforming_levels);
+    tree.CrashForTesting();  // leave the directory exactly as recovered
   }
+  // Resume: an inline deployment converges the migration at open;
+  // contents intact.
+  auto db = ShardedDB::Open(base);
+  ASSERT_TRUE(db.ok());
+  EXPECT_EQ((*db)->shard_tree(0).tuning_epoch(), epoch_at_kill);
+  EXPECT_GT((*db)->TotalStats().migration_steps.load(), 0u);
   EXPECT_TRUE((*db)->Progress().structure_conforming());
   for (Key k = 0; k < 2000; ++k) {
     ASSERT_EQ((*db)->Get(k).value_or(0), k + 1);
@@ -294,16 +325,16 @@ TEST(RecoveryTest, ResumesMidMigrationExactlyWhereItStopped) {
 TEST(RecoveryTest, OrphanSegmentsAreReaped) {
   const std::string dir = FreshDir("orphans");
   {
-    auto db = DB::Open(DurableOpts(dir));
+    auto db = ShardedDB::Open(DurableOpts(dir));
     ASSERT_TRUE(db.ok());
     for (Key k = 0; k < 300; ++k) (*db)->Put(k, k);
     (*db)->Flush();
   }
   // A crash between a segment write and the manifest leaves a file no
   // manifest references; recovery must reap it.
-  const std::string orphan = dir + "/seg_424242.run";
+  const std::string orphan = dir + "/shard_0/seg_424242.run";
   ASSERT_TRUE(WriteFileAtomic(orphan, "garbage").ok());
-  auto db = DB::Open(DurableOpts(dir));
+  auto db = ShardedDB::Open(DurableOpts(dir));
   ASSERT_TRUE(db.ok());
   EXPECT_FALSE(FileExists(orphan));
   for (Key k = 0; k < 300; ++k) {
@@ -321,11 +352,11 @@ TEST(RecoveryTest, CleanCloseIsDurableUnderEverySyncMode) {
     o.wal_sync_mode = mode;
     o.wal_sync_interval_ms = 1;
     {
-      auto db = DB::Open(o);
+      auto db = ShardedDB::Open(o);
       ASSERT_TRUE(db.ok());
       for (Key k = 0; k < 200; ++k) (*db)->Put(k, k + 11);
     }
-    auto db = DB::Open(o);
+    auto db = ShardedDB::Open(o);
     ASSERT_TRUE(db.ok());
     for (Key k = 0; k < 200; ++k) {
       ASSERT_EQ((*db)->Get(k).value_or(0), k + 11)
@@ -378,32 +409,22 @@ TEST(RecoveryTest, ShardCountIsImmutableAcrossReopens) {
   Options wrong = o;
   wrong.num_shards = 2;
   EXPECT_FALSE(ShardedDB::Open(wrong).ok());
-  // And a sharded root is not a plain-DB directory.
-  EXPECT_FALSE(DB::Open(DurableOpts(dir)).ok());
 }
 
-TEST(RecoveryTest, FrontEndsRejectEachOthersDeployments) {
-  // Even at num_shards == 1, where the recorded shard count cannot
-  // distinguish the two layouts.
-  const std::string sharded_dir = FreshDir("one_shard");
-  Options one = DurableOpts(sharded_dir);
-  one.num_shards = 1;
+TEST(RecoveryTest, OpenRefusesATreeManifestAsDeploymentRoot) {
+  // A shard directory holds a single tree's manifest at its root. Opened
+  // as a deployment root it must be refused, not recovered as a fresh
+  // empty shard_0 beside the tree's data.
+  const std::string dir = FreshDir("tree_as_root");
   {
-    auto db = ShardedDB::Open(one);
+    auto db = ShardedDB::Open(DurableOpts(dir));
     ASSERT_TRUE(db.ok());
     db.value()->Put(5, 55);
   }
-  EXPECT_FALSE(DB::Open(DurableOpts(sharded_dir)).ok());
-
-  const std::string db_dir = FreshDir("plain_db");
-  {
-    auto db = DB::Open(DurableOpts(db_dir));
-    ASSERT_TRUE(db.ok());
-    (*db)->Put(5, 55);
-  }
-  Options as_sharded = DurableOpts(db_dir);
-  as_sharded.num_shards = 1;
-  EXPECT_FALSE(ShardedDB::Open(as_sharded).ok());
+  auto reopened = ShardedDB::Open(DurableOpts(dir + "/shard_0"));
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(FileExists(dir + "/shard_0/shard_0"));
 }
 
 TEST(RecoveryTest, ShardedRetuneSurvivesRestart) {
@@ -438,14 +459,14 @@ TEST(RecoveryTest, ShardedRetuneSurvivesRestart) {
 
 TEST(RecoveryTest, LockFileRejectsASecondOpener) {
   const std::string dir = FreshDir("lock");
-  auto first = DB::Open(DurableOpts(dir));
+  auto first = ShardedDB::Open(DurableOpts(dir));
   ASSERT_TRUE(first.ok());
   // A second process (simulated: a second instance) must be refused
   // while the first holds the deployment.
-  auto second = DB::Open(DurableOpts(dir));
+  auto second = ShardedDB::Open(DurableOpts(dir));
   EXPECT_FALSE(second.ok());
   first->reset();  // releases the lock
-  auto third = DB::Open(DurableOpts(dir));
+  auto third = ShardedDB::Open(DurableOpts(dir));
   EXPECT_TRUE(third.ok());
 
   const std::string sharded_dir = FreshDir("lock_sharded");
@@ -498,6 +519,39 @@ TEST(RecoveryTest, OpenTunedShardedDbRecoversInsteadOfRebuilding) {
 size_t CountProc(const std::string& what) {
   auto names = ListDir("/proc/self/" + what);
   return names.ok() ? names->size() : 0;
+}
+
+// A thread whose join() has returned can stay listed in /proc/self/task
+// until the kernel reaps it a moment later, so one read right after a
+// pool or service shuts down may count threads that are already gone.
+// The two helpers below wait that out; neither widens what is asserted.
+
+// CountProc once it has stopped changing: two reads 10 ms apart agree
+// (at most 2 s). For the baseline a later exact check is measured from.
+size_t SettledProcCount(const std::string& what) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  size_t last = CountProc(what);
+  while (std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const size_t now = CountProc(what);
+    if (now == last) break;
+    last = now;
+  }
+  return last;
+}
+
+// Re-reads CountProc until it equals `want` or 2 s pass, and returns the
+// last count; the caller asserts it equals `want` exactly.
+size_t AwaitProcCount(const std::string& what, size_t want) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  size_t n = CountProc(what);
+  while (n != want && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    n = CountProc(what);
+  }
+  return n;
 }
 
 // The kill+reopen matrix at 8 shards, through the concurrent open (the
@@ -607,13 +661,15 @@ TEST(RecoveryTest, CorruptShardManifestFailsParallelOpenCleanly) {
   mangled[mangled.size() / 2] ^= 0x01;
   ASSERT_TRUE(WriteFileAtomic(victim, mangled).ok());
 
-  const size_t threads_before = CountProc("task");
-  const size_t fds_before = CountProc("fd");
+  const size_t threads_before = SettledProcCount("task");
+  const size_t fds_before = SettledProcCount("fd");
   auto failed = ShardedDB::Open(o);
   EXPECT_FALSE(failed.ok());
   if (threads_before > 0) {
-    EXPECT_EQ(CountProc("task"), threads_before) << "leaked threads";
-    EXPECT_EQ(CountProc("fd"), fds_before) << "leaked fds";
+    EXPECT_EQ(AwaitProcCount("task", threads_before), threads_before)
+        << "leaked threads";
+    EXPECT_EQ(AwaitProcCount("fd", fds_before), fds_before)
+        << "leaked fds";
   }
 
   // Restore the manifest: the deployment reopens (proving the failed
@@ -640,10 +696,10 @@ TEST(RecoveryTest, SingleFlushServiceThreadRegardlessOfShardCount) {
   // background thread, malloc arenas) must not land in the deltas.
   { auto warm = ShardedDB::Open(o); ASSERT_TRUE(warm.ok()); }
   {
-    const size_t before = CountProc("task");
+    const size_t before = SettledProcCount("task");
     auto db = ShardedDB::Open(o);
     ASSERT_TRUE(db.ok());
-    EXPECT_EQ(CountProc("task"), before + 1)
+    EXPECT_EQ(AwaitProcCount("task", before + 1), before + 1)
         << "shared flusher must run exactly one thread for 8 shards";
   }
   // Legacy topology for comparison: one interval thread per shard.
@@ -653,10 +709,10 @@ TEST(RecoveryTest, SingleFlushServiceThreadRegardlessOfShardCount) {
   legacy.wal_sync_mode = WalSyncMode::kBackground;
   legacy.wal_sync_interval_ms = 5;
   legacy.shared_wal_flusher = false;
-  const size_t before = CountProc("task");
+  const size_t before = SettledProcCount("task");
   auto db = ShardedDB::Open(legacy);
   ASSERT_TRUE(db.ok());
-  EXPECT_EQ(CountProc("task"), before + 8);
+  EXPECT_EQ(AwaitProcCount("task", before + 8), before + 8);
 }
 
 // Regression for the per-checkpoint flusher churn: a WAL rewrite must
@@ -672,7 +728,7 @@ TEST(RecoveryTest, CheckpointChurnCannotStarveBackgroundSyncs) {
     o.wal_sync_mode = WalSyncMode::kBackground;
     o.wal_sync_interval_ms = 25;
     o.shared_wal_flusher = shared;
-    auto db = DB::Open(o);
+    auto db = ShardedDB::Open(o);
     ASSERT_TRUE(db.ok());
     // Checkpoint every few milliseconds for several intervals: each Put
     // dirties the WAL and stays unsynced across the sleep, each Flush
@@ -688,16 +744,16 @@ TEST(RecoveryTest, CheckpointChurnCannotStarveBackgroundSyncs) {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
       (*db)->Flush();
     }
-    EXPECT_GT((*db)->stats().wal_rewrites.load(), 2u);
-    EXPECT_GT((*db)->stats().wal_syncs.load(), 0u)
+    EXPECT_GT((*db)->TotalStats().wal_rewrites.load(), 2u);
+    EXPECT_GT((*db)->TotalStats().wal_syncs.load(), 0u)
         << (shared ? "shared" : "own")
         << " flusher starved by checkpoint churn";
     // And no busy double-sync either: a clean WAL stays untouched.
     (*db)->Put(k++, k);
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    const uint64_t settled = (*db)->stats().wal_syncs.load();
+    const uint64_t settled = (*db)->TotalStats().wal_syncs.load();
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    EXPECT_EQ((*db)->stats().wal_syncs.load(), settled)
+    EXPECT_EQ((*db)->TotalStats().wal_syncs.load(), settled)
         << "idle WAL re-synced every interval";
   }
 }
@@ -707,14 +763,14 @@ TEST(RecoveryTest, KillBetweenCheckpointAndFirstPostCheckpointSync) {
   o.wal_sync_mode = WalSyncMode::kBackground;
   o.wal_sync_interval_ms = 60000;  // no background tick fires in-test
   {
-    auto db = DB::Open(o);
+    auto db = ShardedDB::Open(o);
     ASSERT_TRUE(db.ok());
     for (Key k = 0; k < 300; ++k) (*db)->Put(k, k + 1);
     (*db)->Flush();          // checkpoint: manifest + WAL rewrite
     (*db)->Put(1000, 1001);  // committed to the new log, never fsynced
     (*db)->CrashForTesting();
   }
-  auto db = DB::Open(o);
+  auto db = ShardedDB::Open(o);
   ASSERT_TRUE(db.ok());
   for (Key k = 0; k < 300; ++k) {
     ASSERT_EQ((*db)->Get(k).value_or(0), k + 1);

@@ -255,7 +255,11 @@ TEST(ShardedDbStressTest, ApplyTuningUnderConcurrentTraffic) {
   for (int w = 0; w < kWriters; ++w) {
     threads.emplace_back([&, w] {
       for (uint64_t i = 0; i < kPerWriter; ++i) {
-        db->Put(key_of(w, i), i);
+        // Publish only acknowledged writes: a rejected Put must fail
+        // here, not surface later as an "acked key lost" read.
+        const Status s = db->Put(key_of(w, i), i);
+        ASSERT_TRUE(s.ok()) << "Put rejected: writer " << w << " index "
+                            << i << ": " << s.ToString();
         watermark[w].store(static_cast<int64_t>(i),
                            std::memory_order_release);
       }

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "lsm/block_cache.h"
-#include "lsm/db.h"
+#include "lsm/sharded_db.h"
 
 namespace {
 
@@ -116,8 +116,8 @@ Options FileOpts(const std::string& name) {
   return o;
 }
 
-std::unique_ptr<DB> LoadedDb(uint64_t n, const Options& o = ReadOpts()) {
-  auto db = DB::Open(o);
+std::unique_ptr<ShardedDB> LoadedDb(uint64_t n, const Options& o = ReadOpts()) {
+  auto db = ShardedDB::Open(o);
   EXPECT_TRUE(db.ok());
   std::vector<std::pair<Key, Value>> pairs;
   for (uint64_t i = 0; i < n; ++i) pairs.emplace_back(2 * i, i);
@@ -156,7 +156,7 @@ TEST(ZeroAllocTest, FileBackendPointLookupsAllocateNothing) {
     db->Get(2 * k);
     db->Get(2 * k + 1);
   }
-  const uint64_t reads_before = db->stats().point_pages_read.load();
+  const uint64_t reads_before = db->TotalStats().point_pages_read.load();
   uint64_t hits = 0;
   uint64_t allocs = 0;
   {
@@ -167,7 +167,7 @@ TEST(ZeroAllocTest, FileBackendPointLookupsAllocateNothing) {
     }
     allocs = scope.allocations();
   }
-  EXPECT_GT(db->stats().point_pages_read.load(), reads_before)
+  EXPECT_GT(db->TotalStats().point_pages_read.load(), reads_before)
       << "the lookups never reached the file";
   EXPECT_EQ(allocs, 0u) << "file-backend Get path must not allocate";
   EXPECT_EQ(hits, 2000u);
@@ -189,8 +189,8 @@ TEST(ZeroAllocTest, CacheChurnAllocatesNoPagePayload) {
     return hits;
   };
   lookups(0, 4000);  // fill the cache and every slot's buffer
-  const uint64_t misses_before = db->stats().cache_misses.load();
-  const uint64_t evictions_before = db->stats().cache_evictions.load();
+  const uint64_t misses_before = db->TotalStats().cache_misses.load();
+  const uint64_t evictions_before = db->TotalStats().cache_evictions.load();
   uint64_t hits = 0;
   uint64_t allocs = 0;
   uint64_t bytes = 0;
@@ -200,9 +200,10 @@ TEST(ZeroAllocTest, CacheChurnAllocatesNoPagePayload) {
     allocs = scope.allocations();
     bytes = scope.bytes();
   }
-  const uint64_t admitted = db->stats().cache_misses.load() - misses_before;
+  const uint64_t admitted =
+      db->TotalStats().cache_misses.load() - misses_before;
   const uint64_t evicted =
-      db->stats().cache_evictions.load() - evictions_before;
+      db->TotalStats().cache_evictions.load() - evictions_before;
   EXPECT_EQ(hits, 4000u);
   ASSERT_GT(admitted, 2000u) << "the cache must churn for this leg to bite";
   EXPECT_GT(evicted, admitted / 2);
