@@ -20,11 +20,16 @@
 // uncontended, which is what the lock-free read path needs from its only
 // remaining shared structure.
 //
-// Costs. Lookup, Insert and each eviction are O(1): no step searches. Every
-// shard threads an intrusive doubly linked list through the slots of each
-// resident segment, headed from a per-shard (store, segment) map, so
-// EraseSegment visits one map entry per shard plus that segment's resident
-// pages — never the whole index, however large the cache is.
+// Costs. Lookup, Insert and each eviction are O(1): no step searches. Each
+// shard indexes its slots through two flat open-addressing tables (page
+// key -> slot, and (store, segment) -> head slot of that segment's
+// resident pages); a cell is a 32-bit hash plus a slot number and the key
+// is compared in the slot. Every shard threads an intrusive doubly linked
+// list through the slots of each resident segment, so EraseSegment visits
+// one table cell per shard plus that segment's resident pages — never the
+// whole index, however large the cache is. The tables are sized from the
+// shard's slot count and only grow when the slot ring does, so admission
+// and eviction in steady state allocate nothing.
 //
 // Buffer reuse. An evicted or erased slot keeps its page buffer as a spare
 // for the next Insert, so steady-state admission does no heap work that
@@ -40,9 +45,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "lsm/page_store.h"
@@ -103,13 +106,6 @@ class BlockCache {
       return store_id == o.store_id && segment == o.segment;
     }
   };
-  struct SegmentHash {
-    size_t operator()(const SegmentKey& k) const {
-      uint64_t h = k.store_id * 0x9e3779b97f4a7c15ULL;
-      h ^= k.segment + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-      return static_cast<size_t>(h);
-    }
-  };
   struct CacheKey {
     uint64_t store_id = 0;
     SegmentId segment = 0;
@@ -119,57 +115,93 @@ class BlockCache {
     }
     SegmentKey segment_key() const { return SegmentKey{store_id, segment}; }
   };
-  struct KeyHash {
-    size_t operator()(const CacheKey& k) const {
-      // Fibonacci mixing over the three fields.
-      uint64_t h = SegmentHash{}(k.segment_key());
-      h ^= k.page + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-      return static_cast<size_t>(h);
-    }
-  };
+  static uint64_t Hash(const SegmentKey& k);
+  static uint64_t Hash(const CacheKey& k);
 
-  /// Slot index meaning "no slot" in the per-segment lists.
-  static constexpr size_t kNil = SIZE_MAX;
+  /// Slot number meaning "no slot" (list ends, empty table cells).
+  static constexpr uint32_t kNil = UINT32_MAX;
+
+  /// Open-addressing map from a 32-bit key hash to a slot number:
+  /// power-of-two capacity, linear probing, backward-shift deletion (no
+  /// tombstones). Keys live in the slots, so Find compares them through a
+  /// caller predicate. The capacity changes only in Reserve.
+  class FlatIndex {
+   public:
+    FlatIndex() { Reserve(0); }
+    /// Rebuilds for at least `n` entries at load factor <= 1/2.
+    void Reserve(size_t n);
+    /// First slot filed under `hash` that satisfies `match`, or kNil.
+    template <typename Match>
+    uint32_t Find(uint32_t hash, const Match& match) const {
+      for (size_t i = hash & mask_;; i = (i + 1) & mask_) {
+        const Cell& c = cells_[i];
+        if (c.slot == kNil) return kNil;
+        if (c.hash == hash && match(c.slot)) return c.slot;
+      }
+    }
+    /// Files `slot` under `hash`; the caller knows its key is absent.
+    void Insert(uint32_t hash, uint32_t slot);
+    /// Re-points the cell filed as (hash, from) at slot `to`.
+    void Replace(uint32_t hash, uint32_t from, uint32_t to) {
+      cells_[Locate(hash, from)].slot = to;
+    }
+    /// Drops the cell filed as (hash, slot).
+    void Erase(uint32_t hash, uint32_t slot);
+
+   private:
+    struct Cell {
+      uint32_t hash = 0;
+      uint32_t slot = kNil;  ///< kNil: empty
+    };
+    size_t Locate(uint32_t hash, uint32_t slot) const;
+    std::vector<Cell> cells_;
+    size_t mask_ = 0;
+    size_t size_ = 0;
+  };
 
   struct Slot {
     CacheKey key;
     /// Page payload. A free slot may keep its capacity as a spare.
     std::vector<Entry> entries;
-    /// Second-chance bit: set on hit, cleared by the hand.
-    std::atomic<bool> referenced{false};
-    bool valid = false;
     /// Neighbours in the list of key's segment (set on Insert).
-    size_t prev = kNil;
-    size_t next = kNil;
+    uint32_t prev = kNil;
+    uint32_t next = kNil;
+    /// Second-chance bit: set on hit, cleared by the hand.
+    bool referenced = false;
+    bool valid = false;
   };
 
   struct Shard {
     mutable std::mutex mu;
-    std::unordered_map<CacheKey, size_t, KeyHash> index;  ///< key -> slot
-    /// (store, segment) -> head slot of that segment's resident pages.
-    std::unordered_map<SegmentKey, size_t, SegmentHash> segments;
-    std::vector<std::unique_ptr<Slot>> slots;             ///< clock ring
-    std::vector<size_t> free_slots;  ///< free, buffer kept as a spare
-    std::vector<size_t> bare_slots;  ///< free, buffer released
+    FlatIndex pages;     ///< page key -> slot
+    FlatIndex segments;  ///< (store, segment) -> head slot of its list
+    std::vector<Slot> slots;           ///< clock ring
+    std::vector<uint32_t> free_slots;  ///< free, buffer kept as a spare
+    std::vector<uint32_t> bare_slots;  ///< free, buffer released
     size_t hand = 0;
     uint64_t usage_bytes = 0;
     uint64_t spare_bytes = 0;  ///< buffer capacity held by free_slots
   };
 
-  Shard& ShardFor(const CacheKey& k) {
-    return shards_[KeyHash{}(k) % shards_.size()];
+  /// Cache shard of a key hash (multiply-shift over the high half; the
+  /// low half files the key inside the shard's index).
+  Shard& ShardFor(uint64_t hash) {
+    return shards_[((hash >> 32) * shards_.size()) >> 32];
   }
+  /// Appends a slot to the ring, growing the indexes with it. Shard lock
+  /// held.
+  static uint32_t NewSlot(Shard& s);
   /// Evicts clock-style until `need` more bytes fit under the per-shard
   /// share of capacity. Shard lock held.
   void EvictToFit(Shard& s, uint64_t need, Statistics* stats);
   /// Unlinks slot `idx` from its segment's list in O(1), dropping the
-  /// segment's map entry with its last page. Shard lock held.
-  static void Unlink(Shard& s, size_t idx);
+  /// segment's table cell with its last page. Shard lock held.
+  static void Unlink(Shard& s, uint32_t idx);
   /// Drops slot `idx` from the key index and the usage count and returns
   /// it to a free list, keeping its buffer as a spare if that fits under
   /// the per-shard share. The caller unlinks it first (or frees the whole
   /// list). Shard lock held.
-  void Free(Shard& s, size_t idx);
+  void Free(Shard& s, uint32_t idx);
   uint64_t PerShardCapacity() const {
     return capacity() / shards_.size();
   }

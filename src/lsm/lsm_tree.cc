@@ -582,7 +582,6 @@ Status LsmTree::ExecuteMaintenance(MaintenanceUnit* unit,
     case MaintenanceUnit::Kind::kFlush: {
       // Flushes unblock writers, so they are exempt from the rate
       // limiter (limits applies to compactions only).
-      ++stats_->flushes;
       RunBuilder builder(store_, unit->bits_per_entry, IoContext::kFlush);
       for (SkipList::Iterator it = unit->buffer->NewIterator(); it.Valid();
            it.Next()) {
@@ -598,7 +597,6 @@ Status LsmTree::ExecuteMaintenance(MaintenanceUnit* unit,
         unit->output = unit->inputs.front();  // pure move-down, no I/O
         return Status::OK();
       }
-      ++stats_->compactions;
       StatusOr<std::shared_ptr<Run>> merged_or =
           MergeRuns(store_, unit->inputs, unit->bits_per_entry,
                     unit->drop_tombstones, limits);
@@ -628,6 +626,9 @@ Status LsmTree::InstallMaintenance(MaintenanceUnit* unit) {
       unit->output.reset();
       return Status::OK();
     }
+    // Counted here, not in ExecuteMaintenance: a failed attempt that is
+    // retried, or an output discarded above, is not a flush.
+    ++stats_->flushes;
     Stamp(unit->output);
     EnsureLevel(1);
     auto& l1 = levels_[0];
@@ -667,6 +668,7 @@ Status LsmTree::InstallMaintenance(MaintenanceUnit* unit) {
     unit->output.reset();
     return Status::OK();
   }
+  if (!unit->single_run_push) ++stats_->compactions;  // installed merges
   runs.erase(runs.end() - static_cast<ptrdiff_t>(k), runs.end());
   // Drop the unit's references too, so the replaced segments' deferred
   // deletes queue before the manifest publish below purges them (the

@@ -224,6 +224,22 @@ std::unique_ptr<char, void (*)(void*)> AlignedPage(size_t bytes) {
   return {static_cast<char*>(p), &std::free};
 }
 
+/// The calling thread's aligned read buffer, grown to the largest page
+/// this thread has read from any store and reused for every later read —
+/// no store lock and no allocation once warm. Null if growing it fails.
+char* ReadScratch(size_t bytes) {
+  struct Scratch {
+    std::unique_ptr<char, void (*)(void*)> buf{nullptr, &std::free};
+    size_t bytes = 0;
+  };
+  static thread_local Scratch scratch;
+  if (scratch.bytes < bytes) {
+    scratch.buf = AlignedPage(bytes);
+    scratch.bytes = scratch.buf != nullptr ? bytes : 0;
+  }
+  return scratch.buf.get();
+}
+
 Status AllocFailed(size_t bytes) {
   return Status::IOError("aligned_alloc of " + std::to_string(bytes) +
                          " bytes failed");
@@ -329,7 +345,7 @@ class FilePageStore::Writer final : public PageStore::SegmentWriter {
     sealed_ = true;
     {
       std::lock_guard<std::mutex> lock(store_->mu_);
-      store_->segments_.emplace(id_, SegmentMeta{fd_, num_entries_});
+      store_->segments_.Add(id_, SegmentMeta{fd_, num_entries_});
     }
     return id_;
   }
@@ -372,6 +388,86 @@ class FilePageStore::Writer final : public PageStore::SegmentWriter {
   bool sealed_ = false;
 };
 
+// ---------------------------------------------------- file segment table --
+
+FilePageStore::SegmentTable::~SegmentTable() {
+  const Directory* d = dir_.load(std::memory_order_relaxed);
+  if (d == nullptr) return;
+  for (size_t c = 0; c < d->size; ++c) {
+    delete d->chunks[c].load(std::memory_order_relaxed);
+  }
+}
+
+const FilePageStore::SegmentMeta* FilePageStore::SegmentTable::Find(
+    SegmentId id) const {
+  // The caller learned `id` from a Seal or Adopt that happened-before this
+  // call, so the acquire loads see a directory and chunk at least as new
+  // as the ones that registered it.
+  const Directory* d = dir_.load(std::memory_order_acquire);
+  const size_t c = id >> kChunkBits;
+  if (d == nullptr || c >= d->size) return nullptr;
+  const Chunk* chunk = d->chunks[c].load(std::memory_order_acquire);
+  if (chunk == nullptr) return nullptr;
+  const SegmentMeta& meta = chunk->cells[id & (kChunkCells - 1)];
+  return meta.fd >= 0 ? &meta : nullptr;
+}
+
+void FilePageStore::SegmentTable::Add(SegmentId id, SegmentMeta meta) {
+  const size_t c = id >> kChunkBits;
+  Directory* d = dir_.load(std::memory_order_relaxed);
+  if (d == nullptr || c >= d->size) {
+    size_t n = d == nullptr ? 16 : 2 * d->size;
+    while (n <= c) n *= 2;
+    auto grown = std::make_unique<Directory>(n);
+    for (size_t i = 0; d != nullptr && i < d->size; ++i) {
+      grown->chunks[i].store(d->chunks[i].load(std::memory_order_relaxed),
+                             std::memory_order_relaxed);
+    }
+    d = grown.get();
+    dirs_.push_back(std::move(grown));
+    dir_.store(d, std::memory_order_release);
+  }
+  Chunk* chunk = d->chunks[c].load(std::memory_order_relaxed);
+  if (chunk == nullptr) {
+    chunk = new Chunk();
+    d->chunks[c].store(chunk, std::memory_order_release);
+  }
+  chunk->cells[id & (kChunkCells - 1)] = meta;
+  ++chunk->live;
+}
+
+FilePageStore::SegmentMeta FilePageStore::SegmentTable::Remove(SegmentId id) {
+  Directory* d = dir_.load(std::memory_order_relaxed);
+  const size_t c = id >> kChunkBits;
+  if (d == nullptr || c >= d->size) return {};
+  Chunk* chunk = d->chunks[c].load(std::memory_order_relaxed);
+  if (chunk == nullptr) return {};
+  SegmentMeta& cell = chunk->cells[id & (kChunkCells - 1)];
+  const SegmentMeta meta = cell;
+  if (meta.fd < 0) return {};
+  cell = SegmentMeta{};
+  if (--chunk->live == 0) {
+    // No segment of this chunk is live, so no reader can be inside it.
+    d->chunks[c].store(nullptr, std::memory_order_relaxed);
+    delete chunk;
+  }
+  return meta;
+}
+
+template <typename Fn>
+void FilePageStore::SegmentTable::ForEach(const Fn& fn) const {
+  const Directory* d = dir_.load(std::memory_order_relaxed);
+  for (size_t c = 0; d != nullptr && c < d->size; ++c) {
+    const Chunk* chunk = d->chunks[c].load(std::memory_order_relaxed);
+    if (chunk == nullptr) continue;
+    for (size_t i = 0; i < kChunkCells; ++i) {
+      if (chunk->cells[i].fd >= 0) fn((c << kChunkBits) | i, chunk->cells[i]);
+    }
+  }
+}
+
+// ------------------------------------------------------------ file store --
+
 FilePageStore::FilePageStore(uint64_t entries_per_page, Statistics* stats,
                              std::string dir, bool persistent)
     : PageStore(entries_per_page, stats),
@@ -389,10 +485,10 @@ FilePageStore::FilePageStore(uint64_t entries_per_page, Statistics* stats,
 }
 
 FilePageStore::~FilePageStore() {
-  for (auto& [id, meta] : segments_) {
-    if (meta.fd >= 0) ::close(meta.fd);
+  segments_.ForEach([this](SegmentId id, const SegmentMeta& meta) {
+    ::close(meta.fd);
     if (!persistent_) ::unlink(PathFor(id).c_str());
-  }
+  });
   // Deferred deletes whose manifest never got published stay on disk as
   // orphans; the next recovery's RemoveUnreferencedSegments reaps them.
 }
@@ -412,33 +508,17 @@ std::unique_ptr<PageStore::SegmentWriter> FilePageStore::NewSegmentWriter(
   return std::make_unique<Writer>(this, id, PathFor(id), ctx);
 }
 
-FilePageStore::AlignedBuf FilePageStore::BorrowScratch() const {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!read_scratch_pool_.empty()) {
-      AlignedBuf buf = std::move(read_scratch_pool_.back());
-      read_scratch_pool_.pop_back();
-      return buf;
-    }
-  }
-  return AlignedPage(PageDiskBytes());
-}
-
-void FilePageStore::ReturnScratch(AlignedBuf buf) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  read_scratch_pool_.push_back(std::move(buf));
+const FilePageStore::SegmentMeta& FilePageStore::Meta(
+    SegmentId segment) const {
+  const SegmentMeta* meta = segments_.Find(segment);
+  ENDURE_CHECK_MSG(meta != nullptr, "unknown segment");
+  return *meta;
 }
 
 StatusOr<PageView> FilePageStore::ReadPageView(SegmentId segment,
                                                size_t page_idx, IoContext ctx,
                                                PageBuffer* scratch) const {
-  SegmentMeta meta;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = segments_.find(segment);
-    ENDURE_CHECK_MSG(it != segments_.end(), "unknown segment");
-    meta = it->second;
-  }
+  const SegmentMeta meta = Meta(segment);
   const size_t begin = page_idx * entries_per_page_;
   ENDURE_CHECK_MSG(begin < meta.num_entries, "page index out of range");
   const size_t count = std::min<size_t>(entries_per_page_,
@@ -452,16 +532,8 @@ StatusOr<PageView> FilePageStore::ReadPageView(SegmentId segment,
 
   const size_t page_bytes = PageBytes();
   const size_t disk_bytes = PageDiskBytes();
-  AlignedBuf raw = BorrowScratch();
+  char* const raw = ReadScratch(disk_bytes);
   if (raw == nullptr) return AllocFailed(disk_bytes);
-  // Hand the buffer back on every exit path. A local class inside a member
-  // function shares the function's access rights, so it may call the
-  // private ReturnScratch.
-  struct Returner {
-    const FilePageStore* store;
-    AlignedBuf* buf;
-    ~Returner() { store->ReturnScratch(std::move(*buf)); }
-  } returner{this, &raw};
   // The segment's path only appears in error messages: building it up
   // front would cost a string allocation on every uncached read.
   const FaultOutcome fault = CheckFault(FaultSite::kSegmentRead);
@@ -469,7 +541,7 @@ StatusOr<PageView> FilePageStore::ReadPageView(SegmentId segment,
     return Status::IOError("segment read from " + PathFor(segment) +
                            " failed: " + ErrnoName(fault.err) + " [injected]");
   }
-  const ssize_t got = ::pread(meta.fd, raw.get(), disk_bytes,
+  const ssize_t got = ::pread(meta.fd, raw, disk_bytes,
                               static_cast<off_t>(page_idx * disk_bytes));
   if (got < 0) {
     return Status::IOError("segment read from " + PathFor(segment) +
@@ -489,12 +561,10 @@ StatusOr<PageView> FilePageStore::ReadPageView(SegmentId segment,
   if (verify) {
     uint32_t stored_count = 0;
     uint32_t stored_crc = 0;
-    std::memcpy(&stored_count, raw.get() + page_bytes, sizeof(stored_count));
-    std::memcpy(&stored_crc,
-                raw.get() + page_bytes + sizeof(stored_count),
+    std::memcpy(&stored_count, raw + page_bytes, sizeof(stored_count));
+    std::memcpy(&stored_crc, raw + page_bytes + sizeof(stored_count),
                 sizeof(stored_crc));
-    const uint32_t actual =
-        Crc32(raw.get(), page_bytes + sizeof(stored_count));
+    const uint32_t actual = Crc32(raw, page_bytes + sizeof(stored_count));
     if (stored_crc != actual || stored_count != count) {
       ++stats_->checksum_failures;
       return Status::Corruption(
@@ -505,7 +575,7 @@ StatusOr<PageView> FilePageStore::ReadPageView(SegmentId segment,
   scratch->Reserve(entries_per_page_);
   Entry* dst = scratch->data();
   for (size_t i = 0; i < count; ++i) {
-    dst[i] = DecodeEntry(raw.get() + i * kEntryBytes);
+    dst[i] = DecodeEntry(raw + i * kEntryBytes);
   }
   scratch->set_size(count);
   stats_->OnPageRead(ctx, 1);
@@ -520,9 +590,9 @@ StatusOr<PageView> FilePageStore::ReadPageView(SegmentId segment,
 void FilePageStore::FreeSegment(SegmentId segment) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = segments_.find(segment);
-    if (it == segments_.end()) return;
-    if (it->second.fd >= 0) ::close(it->second.fd);
+    const SegmentMeta meta = segments_.Remove(segment);
+    if (meta.fd < 0) return;
+    ::close(meta.fd);
     if (persistent_) {
       // Defer the unlink: the current manifest may still reference this
       // segment, and recovery must be able to reopen it if we crash
@@ -532,7 +602,6 @@ void FilePageStore::FreeSegment(SegmentId segment) {
     } else {
       ::unlink(PathFor(segment).c_str());
     }
-    segments_.erase(it);
   }
   CacheErase(segment);
 }
@@ -543,7 +612,7 @@ Status FilePageStore::AdoptSegment(SegmentId id, size_t num_entries) {
   if (num_entries == 0) {
     return Status::InvalidArgument("cannot adopt an empty segment");
   }
-  if (segments_.count(id) != 0) {
+  if (segments_.Find(id) != nullptr) {
     return Status::InvalidArgument("segment adopted twice: " +
                                    std::to_string(id));
   }
@@ -561,7 +630,7 @@ Status FilePageStore::AdoptSegment(SegmentId id, size_t num_entries) {
     return Status::Corruption("segment file " + path +
                               " is shorter than the manifest records");
   }
-  segments_.emplace(id, SegmentMeta{fd, num_entries});
+  segments_.Add(id, SegmentMeta{fd, num_entries});
   if (id + 1 > next_id_) next_id_ = id + 1;
   return Status::OK();
 }
@@ -596,7 +665,7 @@ Status FilePageStore::RemoveUnreferencedSegments() {
     bool referenced;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      referenced = segments_.count(static_cast<SegmentId>(id)) != 0;
+      referenced = segments_.Find(static_cast<SegmentId>(id)) != nullptr;
     }
     if (!referenced) {
       ::unlink((dir_ + "/" + name).c_str());
@@ -606,18 +675,12 @@ Status FilePageStore::RemoveUnreferencedSegments() {
 }
 
 size_t FilePageStore::NumPages(SegmentId segment) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = segments_.find(segment);
-  ENDURE_CHECK_MSG(it != segments_.end(), "unknown segment");
-  return (it->second.num_entries + entries_per_page_ - 1) /
+  return (Meta(segment).num_entries + entries_per_page_ - 1) /
          entries_per_page_;
 }
 
 size_t FilePageStore::NumEntries(SegmentId segment) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = segments_.find(segment);
-  ENDURE_CHECK_MSG(it != segments_.end(), "unknown segment");
-  return it->second.num_entries;
+  return Meta(segment).num_entries;
 }
 
 // --------------------------------------------------------------- factory --

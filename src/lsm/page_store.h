@@ -22,11 +22,11 @@
 #ifndef ENDURE_LSM_PAGE_STORE_H_
 #define ENDURE_LSM_PAGE_STORE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -259,8 +259,9 @@ class MemPageStore final : public PageStore {
 };
 
 /// File-backed store: one file per segment under `dir`, fixed-width binary
-/// entry encoding, page-aligned pread/pwrite through a per-store aligned
-/// scratch buffer (reads decode in place; no per-read allocation).
+/// entry encoding, page-aligned pread/pwrite (reads go through a
+/// thread-local aligned buffer and decode in place; no per-read
+/// allocation and no store lock).
 ///
 /// On-disk page format: each page is PageBytes() of encoded entries
 /// (zero-padded past the valid count) followed by an 8-byte footer —
@@ -350,39 +351,78 @@ class FilePageStore final : public PageStore {
   friend class Writer;
 
   struct SegmentMeta {
-    int fd = -1;
+    int fd = -1;  ///< -1: no such segment
     size_t num_entries = 0;
   };
+
+  /// Segment id -> SegmentMeta, readable without a lock. Ids are handed
+  /// out in order and never reused, so the table is a direct map: a
+  /// directory of fixed-size chunks of cells, a chunk allocated with its
+  /// first segment and freed with its last. Mutators run under mu_. Find
+  /// takes no lock: it is only asked for sealed, not-yet-freed segments,
+  /// and a chunk holding a live segment is never freed.
+  class SegmentTable {
+   public:
+    SegmentTable() = default;
+    ~SegmentTable();
+    ENDURE_DISALLOW_COPY_AND_ASSIGN(SegmentTable);
+
+    /// The registered segment `id`, or null.
+    const SegmentMeta* Find(SegmentId id) const;
+    /// Registers `id` (not registered yet). mu_ held.
+    void Add(SegmentId id, SegmentMeta meta);
+    /// Unregisters `id` and returns what it held (fd -1 if nothing).
+    /// mu_ held.
+    SegmentMeta Remove(SegmentId id);
+    /// Calls fn(id, meta) for every registered segment. mu_ held, or no
+    /// other thread uses the store.
+    template <typename Fn>
+    void ForEach(const Fn& fn) const;
+
+   private:
+    static constexpr size_t kChunkBits = 10;
+    static constexpr size_t kChunkCells = size_t{1} << kChunkBits;
+    struct Chunk {
+      SegmentMeta cells[kChunkCells];
+      size_t live = 0;
+    };
+    struct Directory {
+      explicit Directory(size_t n)
+          : size(n), chunks(new std::atomic<Chunk*>[n]) {
+        for (size_t i = 0; i < n; ++i) chunks[i].store(nullptr);
+      }
+      size_t size;
+      std::unique_ptr<std::atomic<Chunk*>[]> chunks;
+    };
+    /// The live directory. A reader may still hold an older one, so every
+    /// directory ever published stays in dirs_ until destruction; each
+    /// is at most half the size of the next, so together the old ones
+    /// are smaller than the live one.
+    std::atomic<Directory*> dir_{nullptr};
+    std::vector<std::unique_ptr<Directory>> dirs_;
+  };
+
   std::string PathFor(SegmentId id) const;
   /// Payload bytes of one page (entries only).
   size_t PageBytes() const { return kEntryBytes * entries_per_page_; }
   /// On-disk bytes of one page (payload + integrity footer).
   size_t PageDiskBytes() const { return PageBytes() + kPageFooterBytes; }
-
-  using AlignedBuf = std::unique_ptr<char, void (*)(void*)>;
-
-  /// Borrows one aligned PageDiskBytes() scratch buffer from the pool
-  /// (allocating on a dry pool; null on allocation failure — surfaced as
-  /// a Status, not an abort). Return with ReturnScratch.
-  AlignedBuf BorrowScratch() const;
-  void ReturnScratch(AlignedBuf buf) const;
+  /// The registered segment `segment`; aborts if there is none.
+  const SegmentMeta& Meta(SegmentId segment) const;
 
   std::string dir_;
   bool persistent_;
   bool verify_checksums_ = true;
   bool scrub_on_recovery_ = true;
   std::string instance_tag_;  ///< unique per process+instance (see .cc)
-  /// Guards the segment table, id counter, deferred deletes and the
-  /// scratch pool. Never held across device I/O: reads copy the fd and
-  /// borrow a scratch buffer under the lock, then pread/decode outside it.
+  /// Serializes the writers of the segment table, the id counter and the
+  /// deferred deletes. Page reads never take it: they find the segment
+  /// through segments_ without a lock and pread into a thread-local
+  /// aligned buffer.
   mutable std::mutex mu_;
   SegmentId next_id_ = 1;
-  std::unordered_map<SegmentId, SegmentMeta> segments_;
+  SegmentTable segments_;
   std::vector<std::string> pending_deletes_;  ///< persistent mode only
-  /// Page-aligned read buffers, one borrowed per in-flight read; the pool
-  /// high-water mark is the read concurrency (foreground + merge threads),
-  /// so steady-state reads still allocate nothing.
-  mutable std::vector<AlignedBuf> read_scratch_pool_;
 };
 
 /// Factory over Options::backend. `persistent` selects FilePageStore's

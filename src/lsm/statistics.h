@@ -88,8 +88,8 @@ struct Statistics {
   RelaxedCounter gets = 0;
   RelaxedCounter range_queries = 0;
   RelaxedCounter writes = 0;
-  RelaxedCounter flushes = 0;
-  RelaxedCounter compactions = 0;
+  RelaxedCounter flushes = 0;      ///< installed flushes (not attempts)
+  RelaxedCounter compactions = 0;  ///< installed merges (not push-downs)
 
   // --- live reconfiguration ---
   RelaxedCounter reconfigurations = 0;  ///< Reconfigure/ApplyTuning calls

@@ -71,6 +71,31 @@ TEST(DegradedModeTest, TransientFaultIsRetriedThenForgotten) {
   ASSERT_TRUE((*db)->Put(1000, 7).ok());
 }
 
+TEST(DegradedModeTest, RetriedFlushCountsOnce) {
+  // One sealed buffer whose first background flush attempt fails: the
+  // retry installs it, and only the installed flush is counted.
+  Options opts = BaseOpts(FreshDir("retried_flush"));
+  opts.num_shards = 1;
+  opts.background_maintenance = true;
+  opts.background_max_retries = 4;
+  opts.background_retry_base_ms = 1;
+  auto db = ShardedDB::Open(opts);
+  ASSERT_TRUE(db.ok());
+
+  ScopedFaultInjector fi;
+  fi->Arm(FaultSite::kSegmentOpen, {.count = 1, .err = EIO});
+  for (Key k = 0; k < 40; ++k) {
+    ASSERT_TRUE((*db)->Put(k, k + 1).ok()) << k;
+  }
+  (*db)->WaitForMaintenance();
+  fi->DisarmAll();
+
+  ASSERT_TRUE((*db)->Health().ok()) << (*db)->Health().message();
+  EXPECT_EQ((*db)->TotalStats().io_retries.load(), 1u);
+  EXPECT_EQ((*db)->TotalStats().flushes.load(), 1u);
+  EXPECT_EQ((*db)->TotalStats().compactions.load(), 0u);
+}
+
 TEST(DegradedModeTest, PermanentFaultLatchesShardReadOnly) {
   const std::string dir = FreshDir("permanent");
   Options opts = BaseOpts(dir);

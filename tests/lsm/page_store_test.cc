@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <filesystem>
+#include <random>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "lsm/block_cache.h"
 #include "lsm/options.h"
 
 namespace endure::lsm {
@@ -140,6 +148,128 @@ TEST(FilePageStoreTest, RoundTripsEntryEncoding) {
   EXPECT_EQ(out[0].value, in[0].value);
   EXPECT_EQ(out[0].type, in[0].type);
   EXPECT_EQ(out[1].type, EntryType::kTombstone);
+}
+
+/// Entries of segment `tag`: key tag * 1e6 + i, value derived from key.
+std::vector<Entry> TaggedEntries(uint64_t tag, size_t n) {
+  std::vector<Entry> out;
+  for (size_t i = 0; i < n; ++i) {
+    const Key key = tag * 1000000 + i;
+    out.push_back(Entry{key, 1, ~key, EntryType::kValue});
+  }
+  return out;
+}
+
+/// True if `view` is page `page` of TaggedEntries(tag, n) at B entries.
+bool PageMatches(const PageView& view, uint64_t tag, size_t n, size_t page,
+                 size_t per_page) {
+  const size_t begin = page * per_page;
+  if (view.size != std::min(per_page, n - begin)) return false;
+  for (size_t i = 0; i < view.size; ++i) {
+    const Key key = tag * 1000000 + begin + i;
+    if (view[i].key != key || view[i].value != ~key) return false;
+  }
+  return true;
+}
+
+TEST(FilePageStoreConcurrencyTest, LockFreeReadsRaceSegmentChurn) {
+  // Page reads take no store lock, so they must stay correct while other
+  // threads open, seal and free segments of the same store — including
+  // the segment-table chunk allocations and frees and a directory growth
+  // (ids start just below the first directory's 16 chunks of 1024) — and
+  // while a shared block cache admits, evicts and erases their pages.
+  constexpr size_t kPerPage = 8;
+  constexpr size_t kStableEntries = 8 * kPerPage + 3;  // partial last page
+  constexpr int kStable = 6;
+  constexpr int kReaders = 3;
+  constexpr int kWriters = 2;
+  constexpr int kSegmentsPerWriter = 1000;
+  const std::string dir = "/tmp/endure_test_store_concurrency";
+  std::filesystem::remove_all(dir);
+  Statistics stats;
+  BlockCache cache(/*capacity_bytes=*/16 * kPerPage * sizeof(Entry));
+  {
+    FilePageStore store(kPerPage, &stats, dir);
+    store.set_block_cache(&cache);
+    std::vector<SegmentId> stable;
+    for (int t = 0; t < kStable; ++t) {
+      stable.push_back(
+          store.WriteSegment(TaggedEntries(t, kStableEntries),
+                             IoContext::kFlush)
+              .value());
+    }
+    store.set_next_id(16 * 1024 - 100);
+
+    std::atomic<bool> done{false};
+    std::atomic<uint64_t> bad{0};
+    std::atomic<uint64_t> reads{0};
+    std::vector<std::thread> threads;
+    for (int r = 0; r < kReaders; ++r) {
+      threads.emplace_back([&, r] {
+        std::mt19937_64 rng(r);
+        PageBuffer scratch;
+        const size_t pages = (kStableEntries + kPerPage - 1) / kPerPage;
+        while (!done.load(std::memory_order_relaxed)) {
+          const size_t t = rng() % kStable;
+          const size_t page = rng() % pages;
+          // Alternate cached (point) and uncached (compaction) reads.
+          const IoContext ctx =
+              rng() % 2 ? IoContext::kPointQuery : IoContext::kCompaction;
+          const StatusOr<PageView> view =
+              store.ReadPageView(stable[t], page, ctx, &scratch);
+          if (!view.ok() ||
+              !PageMatches(*view, t, kStableEntries, page, kPerPage) ||
+              store.NumEntries(stable[t]) != kStableEntries) {
+            ++bad;
+          }
+          ++reads;
+        }
+      });
+    }
+    for (int w = 0; w < kWriters; ++w) {
+      threads.emplace_back([&, w] {
+        PageBuffer scratch;
+        for (int i = 0; i < kSegmentsPerWriter; ++i) {
+          const uint64_t tag = 100 + w * kSegmentsPerWriter + i;
+          const size_t n = 1 + i % (3 * kPerPage);
+          const std::vector<Entry> entries = TaggedEntries(tag, n);
+          auto writer = store.NewSegmentWriter(IoContext::kFlush);
+          for (size_t begin = 0; begin < n; begin += kPerPage) {
+            if (!writer->AppendPage(entries.data() + begin,
+                                    std::min(kPerPage, n - begin))
+                     .ok()) {
+              ++bad;
+            }
+          }
+          const StatusOr<SegmentId> seg = writer->Seal();
+          if (!seg.ok()) {
+            ++bad;
+            continue;
+          }
+          const StatusOr<PageView> view = store.ReadPageView(
+              *seg, (n - 1) / kPerPage, IoContext::kPointQuery, &scratch);
+          if (!view.ok() ||
+              !PageMatches(*view, tag, n, (n - 1) / kPerPage, kPerPage)) {
+            ++bad;
+          }
+          store.FreeSegment(*seg);
+        }
+      });
+    }
+    for (int i = kReaders; i < kReaders + kWriters; ++i) threads[i].join();
+    done = true;
+    for (int i = 0; i < kReaders; ++i) threads[i].join();
+
+    EXPECT_EQ(bad.load(), 0u);
+    EXPECT_GT(reads.load(), 0u);
+    EXPECT_GT(store.next_id(), 16u * 1024)
+        << "the churn never grew the segment directory";
+    EXPECT_EQ(stats.checksum_failures, 0u);
+    for (int t = 0; t < kStable; ++t) store.FreeSegment(stable[t]);
+  }
+  EXPECT_EQ(cache.usage(), 0u);
+  EXPECT_TRUE(std::filesystem::is_empty(dir)) << "segment files leaked";
+  std::filesystem::remove_all(dir);
 }
 
 TEST(PageBufferTest, ReserveIsIdempotentAndKeepsCapacity) {
